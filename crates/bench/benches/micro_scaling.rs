@@ -5,15 +5,12 @@
 //!
 //! Also measures the `hep-par` thread scaling of the converted layers at
 //! `HEP_SCALE`-sized inputs: the generators and metrics scoring
-//! (embarrassingly parallel), the chunked graph build (degree pass +
-//! pruned-CSR construction), and the sub-partitioned parallel NE++ phase —
-//! the same workload at 1/2/4/8 workers, with outputs that are
-//! bit-identical by construction for a fixed split factor; only wall-clock
-//! may differ. A `split_factor` sweep at a fixed worker count isolates the
-//! replication/parallelism trade-off of the SNE-style splitting.
+//! (embarrassingly parallel) and the chunked graph build (degree pass +
+//! pruned-CSR construction) — the same workload at 1/2/4/8 workers, with
+//! outputs that are bit-identical by construction; only wall-clock may
+//! differ.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
-use hep_core::{Hep, HepConfig};
 use hep_graph::partitioner::{CollectedAssignment, CountingSink};
 use hep_graph::{DegreeStats, EdgePartitioner, PrunedCsr};
 use hep_metrics::PartitionMetrics;
@@ -147,119 +144,12 @@ fn bench_parallel_graph_build(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_nepp(c: &mut Criterion) {
-    let scale = hep_bench::scale();
-    let m = 400_000u64 * scale as u64;
-    let g = hep_gen::GraphSpec::ChungLu { n: (m / 12) as u32, m, gamma: 2.2 }.generate(11);
-    let k = 32;
-    // Thread scaling at a fixed split factor: bit-identical output at every
-    // worker count, wall-clock is the variable under test.
-    let mut group = c.benchmark_group(&format!("par_nepp_{}k_edges", m / 1000));
-    for threads in THREAD_STEPS {
-        group.bench_with_input(BenchmarkId::new("hep10_split4", threads), &threads, |b, &t| {
-            hep_par::set_threads(t);
-            let mut config = HepConfig::with_tau(10.0);
-            config.split_factor = 4;
-            let hep = Hep { config };
-            b.iter(|| {
-                let mut sink = CountingSink::default();
-                hep.partition_with_report(&g, k, &mut sink).unwrap();
-                black_box(sink.counts.len())
-            })
-        });
-    }
-    hep_par::set_threads(0);
-    group.finish();
-    // Split-factor sweep at a fixed worker count: the quality/parallelism
-    // trade-off (split = 1 is the exact serial §3.2 phase).
-    let mut group = c.benchmark_group(&format!("split_sweep_{}k_edges", m / 1000));
-    hep_par::set_threads(4);
-    for split in [1u32, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::new("hep10_threads4", split), &split, |b, &s| {
-            let mut config = HepConfig::with_tau(10.0);
-            config.split_factor = s;
-            let hep = Hep { config };
-            b.iter(|| {
-                let mut sink = CountingSink::default();
-                hep.partition_with_report(&g, k, &mut sink).unwrap();
-                black_box(sink.counts.len())
-            })
-        });
-    }
-    hep_par::set_threads(0);
-    group.finish();
-}
-
-fn bench_refine(c: &mut Criterion) {
-    let scale = hep_bench::scale();
-    let m = 400_000u64 * scale as u64;
-    let g = hep_gen::GraphSpec::ChungLu { n: (m / 12) as u32, m, gamma: 2.2 }.generate(13);
-    let k = 32;
-    // Refinement-pass sweep at a fixed worker count and split factor: the
-    // marginal cost of each FM pass over the packed parts (0 = the
-    // unrefined PR 3 pack output; the RF side of the trade-off is in
-    // table4_processing and EXPERIMENTS.md).
-    let mut group = c.benchmark_group(&format!("refine_{}k_edges", m / 1000));
-    hep_par::set_threads(4);
-    for passes in [0u32, 1, 2, 4] {
-        group.bench_with_input(BenchmarkId::new("hep10_split4", passes), &passes, |b, &p| {
-            let mut config = HepConfig::with_tau(10.0);
-            config.split_factor = 4;
-            config.refine_passes = p;
-            let hep = Hep { config };
-            b.iter(|| {
-                let mut sink = CountingSink::default();
-                hep.partition_with_report(&g, k, &mut sink).unwrap();
-                black_box(sink.counts.len())
-            })
-        });
-    }
-    hep_par::set_threads(0);
-    group.finish();
-}
-
-fn bench_refine_kernel(c: &mut Criterion) {
-    let scale = hep_bench::scale();
-    let m = 400_000u64 * scale as u64;
-    let g = hep_gen::GraphSpec::ChungLu { n: (m / 12) as u32, m, gamma: 2.2 }.generate(13);
-    // The refinement kernel in isolation (no graph build / expansion /
-    // streaming around it), over the probe's synthetic maximal-boundary
-    // assignment: the pure cost of propose + gain-bucket commit. The
-    // pass sweep shows the marginal cost per pass; the thread sweep shows
-    // the parallel commit (conflict-group waves on persistent workers) —
-    // output is bit-identical at every worker count by construction.
-    let mut group = c.benchmark_group(&format!("refine_kernel_{}k_edges", m / 1000));
-    for k in [8u32, 32] {
-        let probe = hep_core::RefineProbe::build(&g, 10.0, k, 4);
-        hep_par::set_threads(4);
-        for passes in [1u32, 2] {
-            group.bench_with_input(
-                BenchmarkId::new(&format!("k{k}_threads4"), passes),
-                &passes,
-                |b, &p| b.iter(|| black_box(probe.run(p).moves)),
-            );
-        }
-    }
-    // Thread sweep of the parallel commit at k = 32 (1 worker = the plain
-    // serial queue drain).
-    let probe = hep_core::RefineProbe::build(&g, 10.0, 32, 4);
-    for threads in [1usize, 4, 8] {
-        hep_par::set_threads(threads);
-        group.bench_with_input(BenchmarkId::new("k32_pass1", threads), &threads, |b, _| {
-            b.iter(|| black_box(probe.run(1).moves))
-        });
-    }
-    hep_par::set_threads(0);
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = configured();
     targets = bench_scaling_in_edges, bench_scaling_in_k,
         bench_parallel_generators, bench_parallel_metrics,
-        bench_parallel_graph_build, bench_parallel_nepp, bench_refine,
-        bench_refine_kernel
+        bench_parallel_graph_build
 }
 
 fn main() {

@@ -4,13 +4,12 @@
 //! simulated processing times of PageRank (100 iterations), BFS (10 seeds)
 //! and Connected Components, per partitioner. Table 5's vertex-replica
 //! balance (std/avg of |V(p_i)|) is printed for the HEP configurations,
-//! followed by a per-phase wall-clock breakdown (build / nepp /
-//! cleanup-or-pack / stream) of the HEP runs — serial and sub-partitioned
-//! parallel NE++ side by side, so BENCH_*.json trajectories can attribute
+//! followed by a per-phase wall-clock breakdown (build / nepp / cleanup /
+//! stream) of the HEP runs, so BENCH_*.json trajectories can attribute
 //! wins per phase.
 
 use hep_bench::{banner, load_dataset, run_partitioner};
-use hep_core::{Hep, HepConfig};
+use hep_core::Hep;
 use hep_graph::partitioner::CountingSink;
 use hep_graph::EdgePartitioner;
 use hep_metrics::table::{format_secs, Table};
@@ -69,89 +68,24 @@ fn main() {
         println!("Table 5 (vertex balancing):\n{}", t5.render());
         report.table(&format!("processing_{name}"), &t4);
         report.table(&format!("vertex_balance_{name}"), &t5);
-        // Phase-level timing of the HEP pipeline, serial vs sub-partitioned
-        // parallel NE++. The split factor follows HEP_SPLIT_FACTOR: unset
-        // defaults to 4 so the breakdown shows both paths; an explicit 1
-        // means serial-only, matching the variable's meaning everywhere
-        // else.
-        let splits: Vec<u32> = match hep_ds::env_registry::read("HEP_SPLIT_FACTOR")
-            .and_then(|v| v.parse::<u32>().ok())
-        {
-            Some(1) => vec![1],
-            Some(v) if v > 1 => vec![1, v],
-            _ => vec![1, 4],
-        };
-        let mut tp = Table::new(["config", "split", "build", "nepp", "cleanup/pack", "stream"]);
+        // Phase-level timing of the HEP pipeline.
+        let mut tp = Table::new(["config", "build", "nepp", "cleanup", "stream"]);
         for tau in [100.0, 10.0, 1.0] {
-            for &split_factor in &splits {
-                let mut config = HepConfig::with_tau(tau);
-                config.split_factor = split_factor;
-                let hep = Hep { config };
-                let mut sink = CountingSink::default();
-                let report = hep
-                    .partition_with_report(&g, k, &mut sink)
-                    .unwrap_or_else(|e| panic!("HEP-{tau} split {split_factor} failed: {e}"));
-                let t = report.timings;
-                tp.row([
-                    format!("HEP-{tau}"),
-                    format!("{split_factor}"),
-                    format_secs(t.build_secs),
-                    format_secs(t.nepp_secs),
-                    format_secs(t.cleanup_secs),
-                    format_secs(t.stream_secs),
-                ]);
-            }
+            let mut sink = CountingSink::default();
+            let report = Hep::with_tau(tau)
+                .partition_with_report(&g, k, &mut sink)
+                .unwrap_or_else(|e| panic!("HEP-{tau} failed: {e}"));
+            let t = report.timings;
+            tp.row([
+                format!("HEP-{tau}"),
+                format_secs(t.build_secs),
+                format_secs(t.nepp_secs),
+                format_secs(t.cleanup_secs),
+                format_secs(t.stream_secs),
+            ]);
         }
-        println!("HEP phase timings (split = 1 is the serial §3.2 path):\n{}", tp.render());
+        println!("HEP phase timings:\n{}", tp.render());
         report.table(&format!("phase_timings_{name}"), &tp);
-        // Per-pass replication-factor deltas of the split path's
-        // boundary-aware FM refinement: Σ|V(p_i)| of the packed parts
-        // after each pass (pass 0 = the unrefined pack output), plus the
-        // whole-pipeline RF with refinement off and on.
-        let refine_split = *splits.iter().max().expect("non-empty");
-        if refine_split > 1 {
-            let mut tr = Table::new(["config", "pass", "Σ|V(p_i)|", "Δ vs pack", "pipeline RF"]);
-            for tau in [10.0, 1.0] {
-                let run = |passes: u32| {
-                    let mut config = HepConfig::with_tau(tau);
-                    config.split_factor = refine_split;
-                    config.refine_passes = passes;
-                    let hep = Hep { config };
-                    let mut sink = hep_graph::partitioner::CollectedAssignment::default();
-                    let report = hep
-                        .partition_with_report(&g, k, &mut sink)
-                        .unwrap_or_else(|e| panic!("HEP-{tau} refine {passes} failed: {e}"));
-                    let rf =
-                        hep_metrics::PartitionMetrics::from_assignment(k, g.num_vertices, &sink)
-                            .replication_factor();
-                    (report, rf)
-                };
-                let (_, rf_off) = run(0);
-                let (report, rf_on) = run(hep_core::DEFAULT_REFINE_PASSES);
-                let sums = &report.nepp.refine_cover_sums;
-                let base = sums.first().copied().unwrap_or(0);
-                for (pass, &sum) in sums.iter().enumerate() {
-                    tr.row([
-                        format!("HEP-{tau}"),
-                        format!("{pass}"),
-                        format!("{sum}"),
-                        format!("{:+}", sum as i64 - base as i64),
-                        if pass == 0 {
-                            format!("{rf_off:.3} (off)")
-                        } else if pass == sums.len() - 1 {
-                            format!("{rf_on:.3} (on)")
-                        } else {
-                            String::new()
-                        },
-                    ]);
-                }
-            }
-            println!(
-                "FM refinement, split = {refine_split} (pass 0 = unrefined pack):\n{}",
-                tr.render()
-            );
-            report.table(&format!("fm_refinement_{name}"), &tr);
-        }
     }
     println!("(paper: lowest total time usually HEP; DBH wins when processing is short;");
     println!(" on IT, balancing matters more than RF once RF saturates near 1)");

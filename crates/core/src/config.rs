@@ -27,26 +27,18 @@ pub struct HepConfig {
     /// plain HDRF state (empty replica sets, zero loads), re-creating the
     /// "uninformed assignment problem" the hybrid design removes.
     pub informed_streaming: bool,
-    /// Sub-partitions per final partition for the parallel NE++ phase
-    /// (SNE-style splitting): `k · split_factor` sub-partitions expand in
-    /// deterministic BSP rounds and a pack stage merges them back into `k`
-    /// parts. `1` (the default) runs the exact serial NE++ of §3.2.
-    /// Defaults to the `HEP_SPLIT_FACTOR` environment variable when set.
+    /// Kept only for source compatibility with callers that name every
+    /// field; must be `1`. The sub-partitioned ("split") NE++ path it
+    /// selected was removed after losing to serial NE++ on both run-time
+    /// and replication factor (EXPERIMENTS.md), and [`HepConfig::validate`]
+    /// rejects any other value instead of silently ignoring it.
     pub split_factor: u32,
-    /// Gate for the sub-partitioned expansion: when false, NE++ runs
-    /// serially regardless of [`HepConfig::split_factor`]. Results at any
-    /// `HEP_THREADS` value are identical for a fixed `(parallel_nepp,
-    /// split_factor)` pair; only wall-clock differs.
+    /// Kept only for source compatibility; must be `false`. It gated the
+    /// removed split NE++ path; [`HepConfig::validate`] rejects `true`.
     pub parallel_nepp: bool,
-    /// Boundary-aware FM refinement passes over the packed parts of the
-    /// sub-partitioned parallel NE++ (see [`crate::refine`]): each pass
-    /// moves whole vertex-bundles of boundary edges between final parts
-    /// when the move strictly reduces `Σ|V(p_i)|`, with filler-edge
-    /// compensation so the serial balanced caps stay exact. Also enables
-    /// hub-aware conflict resolution in the BSP merge. Only the split path
-    /// (`split_factor > 1`) is affected; `0` reproduces the unrefined pack
-    /// output exactly. Defaults to the `HEP_REFINE_PASSES` environment
-    /// variable when set, else [`DEFAULT_REFINE_PASSES`].
+    /// Kept only for source compatibility; must be `0`. It counted the FM
+    /// refinement passes of the removed split NE++ path;
+    /// [`HepConfig::validate`] rejects any other value.
     pub refine_passes: u32,
     /// Memory budget for the out-of-core ingestion pipeline (§4.2: the
     /// machine's memory budget is the planner's primary input). When set,
@@ -62,10 +54,9 @@ pub struct HepConfig {
     /// Backends are bit-identical in output; this only trades syscalls
     /// for page faults.
     pub io_mode: IoMode,
-    /// Column-array segment layout of the pruned CSR (see
-    /// [`CsrLayout`]). Layouts are bit-identical in partition output —
-    /// only the cache behavior of phase 1's adjacency walks differs.
-    /// Defaults to the `HEP_CSR_LAYOUT` environment variable when set.
+    /// Column-array segment layout of the pruned CSR (see [`CsrLayout`]).
+    /// Kept only for source compatibility: the input-order layout is the
+    /// only one.
     pub csr_layout: CsrLayout,
     /// Edges per phase-2 streaming batch: each batch is scored in parallel
     /// against a frozen replica snapshot and committed serially (see
@@ -80,61 +71,14 @@ pub struct HepConfig {
 }
 
 /// Placement of the per-vertex adjacency segments in the pruned CSR's
-/// column array. Both layouts expose identical per-vertex lists, so the
-/// partition output is bit-identical; the choice only changes the cache
-/// locality of phase 1's walks (`HEP_CSR_LAYOUT=input|degree`).
+/// column array. A degree-sorted alternative measured 4–20% slower in NE++
+/// and was removed; the enum stays so callers that name
+/// [`HepConfig::csr_layout`] keep compiling.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CsrLayout {
     /// The builders' native layout: segments in vertex-id order.
     #[default]
     InputOrder,
-    /// Cache-conscious relayout after build: segments in descending
-    /// degree order ([`hep_graph::PrunedCsr::relayout_degree_sorted`]),
-    /// packing the hub lists NE++ hammers hardest into adjacent blocks.
-    DegreeSorted,
-}
-
-/// `HEP_CSR_LAYOUT` environment default, resolved once per process.
-fn env_csr_layout() -> CsrLayout {
-    use std::sync::OnceLock;
-    static LAYOUT: OnceLock<CsrLayout> = OnceLock::new();
-    *LAYOUT.get_or_init(|| match env_registry::read("HEP_CSR_LAYOUT").as_deref() {
-        Some("degree") => CsrLayout::DegreeSorted,
-        Some("input") | None => CsrLayout::InputOrder,
-        Some(other) => {
-            eprintln!("unknown HEP_CSR_LAYOUT={other:?} (want input|degree); using input order");
-            CsrLayout::InputOrder
-        }
-    })
-}
-
-/// Default [`HepConfig::refine_passes`] when `HEP_REFINE_PASSES` is unset:
-/// refinement is on by default for `split_factor > 1`, where the pack
-/// output otherwise carries an SNE-like replication-factor gap over the
-/// serial path.
-pub const DEFAULT_REFINE_PASSES: u32 = 2;
-
-/// `HEP_SPLIT_FACTOR` environment default, resolved once per process.
-fn env_split_factor() -> u32 {
-    use std::sync::OnceLock;
-    static SPLIT: OnceLock<u32> = OnceLock::new();
-    *SPLIT.get_or_init(|| {
-        env_registry::read("HEP_SPLIT_FACTOR")
-            .and_then(|v| v.trim().parse::<u32>().ok())
-            .filter(|&s| s >= 1)
-            .unwrap_or(1)
-    })
-}
-
-/// `HEP_REFINE_PASSES` environment default, resolved once per process.
-fn env_refine_passes() -> u32 {
-    use std::sync::OnceLock;
-    static PASSES: OnceLock<u32> = OnceLock::new();
-    *PASSES.get_or_init(|| {
-        env_registry::read("HEP_REFINE_PASSES")
-            .and_then(|v| v.trim().parse::<u32>().ok())
-            .unwrap_or(DEFAULT_REFINE_PASSES)
-    })
 }
 
 /// Parses a byte count with an optional `K`/`M`/`G` (binary) suffix,
@@ -186,12 +130,12 @@ impl Default for HepConfig {
             lambda: 1.1,
             record_trace: false,
             informed_streaming: true,
-            split_factor: env_split_factor(),
-            parallel_nepp: true,
-            refine_passes: env_refine_passes(),
+            split_factor: 1,
+            parallel_nepp: false,
+            refine_passes: 0,
             memory_budget_bytes: env_memory_budget(),
             io_mode: IoMode::from_env(),
-            csr_layout: env_csr_layout(),
+            csr_layout: CsrLayout::InputOrder,
             stream_batch: env_stream_batch(),
         }
     }
@@ -223,16 +167,11 @@ impl HepConfig {
                 self.lambda
             )));
         }
-        if !(1..=1024).contains(&self.split_factor) {
+        if self.split_factor != 1 || self.parallel_nepp || self.refine_passes != 0 {
             return Err(hep_graph::GraphError::InvalidConfig(format!(
-                "split_factor must be in 1..=1024, got {}",
-                self.split_factor
-            )));
-        }
-        if self.refine_passes > 64 {
-            return Err(hep_graph::GraphError::InvalidConfig(format!(
-                "refine_passes must be in 0..=64, got {}",
-                self.refine_passes
+                "the split NE++ path and its refinement were removed: split_factor must be 1, \
+                 parallel_nepp false and refine_passes 0, got {}, {} and {}",
+                self.split_factor, self.parallel_nepp, self.refine_passes
             )));
         }
         if self.memory_budget_bytes == Some(0) {
@@ -247,20 +186,6 @@ impl HepConfig {
             )));
         }
         Ok(())
-    }
-
-    /// Whether this configuration routes NE++ through the sub-partitioned
-    /// BSP expansion. Trace recording forces the serial path: the column
-    /// trace is defined by the serial access sequence (§5.5).
-    pub fn uses_parallel_nepp(&self) -> bool {
-        self.parallel_nepp && self.split_factor > 1 && !self.record_trace
-    }
-
-    /// Whether the split path runs the post-pack refinement (and the
-    /// hub-aware merge). `refine_passes = 0` keeps the unrefined pack
-    /// output bit-for-bit; the serial path never refines.
-    pub fn uses_refinement(&self) -> bool {
-        self.uses_parallel_nepp() && self.refine_passes > 0
     }
 }
 
@@ -282,10 +207,9 @@ mod tests {
         assert!(HepConfig { tau: -1.0, ..Default::default() }.validate().is_err());
         assert!(HepConfig { alpha: 0.9, ..Default::default() }.validate().is_err());
         assert!(HepConfig { lambda: -0.1, ..Default::default() }.validate().is_err());
-        assert!(HepConfig { split_factor: 0, ..Default::default() }.validate().is_err());
-        assert!(HepConfig { split_factor: 2048, ..Default::default() }.validate().is_err());
-        assert!(HepConfig { refine_passes: 65, ..Default::default() }.validate().is_err());
-        assert!(HepConfig { refine_passes: 0, ..Default::default() }.validate().is_ok());
+        assert!(HepConfig { split_factor: 4, ..Default::default() }.validate().is_err());
+        assert!(HepConfig { parallel_nepp: true, ..Default::default() }.validate().is_err());
+        assert!(HepConfig { refine_passes: 2, ..Default::default() }.validate().is_err());
         assert!(HepConfig { stream_batch: MAX_STREAM_BATCH + 1, ..Default::default() }
             .validate()
             .is_err());
@@ -315,39 +239,5 @@ mod tests {
         assert!(c.validate().is_err());
         let c = HepConfig { memory_budget_bytes: Some(1 << 20), ..Default::default() };
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn refinement_gate() {
-        let base = HepConfig { split_factor: 4, refine_passes: 2, ..Default::default() };
-        assert!(base.uses_refinement());
-        assert!(!HepConfig { refine_passes: 0, ..base.clone() }.uses_refinement());
-        assert!(
-            !HepConfig { split_factor: 1, ..base.clone() }.uses_refinement(),
-            "the serial path never refines"
-        );
-        assert!(!HepConfig { record_trace: true, ..base }.uses_refinement());
-    }
-
-    #[test]
-    fn csr_layout_defaults_to_input_order() {
-        // The suite never sets HEP_CSR_LAYOUT, so the resolved default is
-        // the builders' native layout.
-        assert_eq!(HepConfig::default().csr_layout, CsrLayout::InputOrder);
-        assert_eq!(CsrLayout::default(), CsrLayout::InputOrder);
-    }
-
-    #[test]
-    fn parallel_nepp_gate() {
-        let mut c = HepConfig { split_factor: 4, ..Default::default() };
-        assert!(c.uses_parallel_nepp());
-        c.record_trace = true;
-        assert!(!c.uses_parallel_nepp(), "trace recording forces the serial path");
-        c.record_trace = false;
-        c.parallel_nepp = false;
-        assert!(!c.uses_parallel_nepp());
-        c.parallel_nepp = true;
-        c.split_factor = 1;
-        assert!(!c.uses_parallel_nepp());
     }
 }

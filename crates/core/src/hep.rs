@@ -7,7 +7,6 @@
 
 use crate::config::HepConfig;
 use crate::nepp::{run_nepp, NeppStats};
-use crate::nepp_par::run_nepp_par;
 use crate::planner::{estimate_stream_overhead_bytes, plan_ingest, plan_stream_batch, IngestPlan};
 use crate::streaming::stream_h2h;
 use hep_graph::partitioner::check_inputs;
@@ -96,15 +95,14 @@ pub struct Hep {
 
 /// Wall-clock breakdown of one HEP run, per pipeline phase. Timings are
 /// measurements, not part of the deterministic output; `nepp_secs` includes
-/// `cleanup_secs` (the clean-up passes of Algorithm 2, or the pack stage of
-/// the sub-partitioned parallel path).
+/// `cleanup_secs` (the clean-up passes of Algorithm 2).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseTimings {
     /// Graph building: degree pass + pruned-CSR construction + h2h spill.
     pub build_secs: f64,
-    /// The in-memory NE++ phase (expansion + clean-up/pack).
+    /// The in-memory NE++ phase (expansion + clean-up).
     pub nepp_secs: f64,
-    /// Clean-up passes (serial NE++) or the pack stage (parallel NE++).
+    /// The clean-up passes of NE++ (Algorithm 2).
     pub cleanup_secs: f64,
     /// Streaming the externalized h2h edges (file read + HDRF scoring).
     pub stream_secs: f64,
@@ -196,8 +194,7 @@ impl Hep {
     /// sweeps stream over the file with a reused read buffer (§4.1 applied
     /// to disk), honoring [`HepConfig::memory_budget_bytes`] and
     /// [`HepConfig::io_mode`] via [`ingest_file_budgeted`]. Everything
-    /// after graph building — including the parallel NE++ dispatch — is
-    /// shared with [`Hep::partition_with_report`].
+    /// after graph building is shared with [`Hep::partition_with_report`].
     pub fn partition_file_with_report(
         &self,
         file: &BinaryEdgeFile,
@@ -241,22 +238,16 @@ impl Hep {
     }
 
     /// Phases 1 and 2, shared by the in-memory and on-disk drivers: NE++
-    /// (serial, or sub-partitioned parallel per the config) followed by
-    /// informed streaming of the externalized h2h edges.
+    /// followed by informed streaming of the externalized h2h edges.
     fn finish_phases(
         &self,
-        mut csr: PrunedCsr,
+        csr: PrunedCsr,
         k: u32,
         guard: TempFileGuard,
         build_secs: f64,
         ingest: Option<IngestPlan>,
         sink: &mut dyn AssignSink,
     ) -> Result<HepRunReport, GraphError> {
-        // Optional cache-conscious segment relayout before phase 1 walks
-        // the adjacency lists; bit-identical partition output either way.
-        if self.config.csr_layout == crate::config::CsrLayout::DegreeSorted {
-            csr.relayout_degree_sorted();
-        }
         let h2h_path = guard.0.clone();
         let num_vertices = csr.num_vertices();
         let total_edges = csr.num_edges_total();
@@ -267,16 +258,9 @@ impl Hep {
         let footprint_paper_bytes = csr.memory_footprint_paper(k);
         let csr_heap_bytes = csr.heap_bytes();
         // Phase 1: in-memory partitioning via NE++ (consumes the CSR).
-        // `split_factor == 1` (and trace recording) take the serial path,
-        // which reproduces the §3.2 algorithm exactly; otherwise the
-        // sub-partitioned BSP expansion runs on the hep-par pool.
         // hep-lint: allow(HL002) -- phase timing lands in HepRunReport for benches; it never feeds an assignment decision
         let nepp_start = Instant::now();
-        let nepp = if self.config.uses_parallel_nepp() {
-            run_nepp_par(csr, k, &self.config, sink)
-        } else {
-            run_nepp(csr, k, &self.config, sink)
-        };
+        let nepp = run_nepp(csr, k, &self.config, sink);
         let nepp_secs = nepp_start.elapsed().as_secs_f64();
         // Phase 2: informed stateful streaming over the h2h edge file.
         // hep-lint: allow(HL002) -- phase timing lands in HepRunReport for benches; it never feeds an assignment decision
@@ -574,76 +558,6 @@ mod tests {
         let mut sink = CountingSink::default();
         assert!(Hep::with_tau(10.0).partition_file_with_report(&file, 1, &mut sink).is_err());
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn parallel_nepp_covers_and_respects_streaming_cap() {
-        let g = hep_gen::GraphSpec::ChungLu { n: 1000, m: 8000, gamma: 2.0 }.generate(3);
-        let k = 4;
-        for split in [2u32, 4] {
-            let mut config = HepConfig::with_tau(1.0);
-            config.split_factor = split;
-            let hep = Hep { config };
-            let mut sink = CollectedAssignment::default();
-            hep.partition_with_report(&g, k, &mut sink).unwrap();
-            assert_exactly_once(&g, &sink);
-            let mut counts = vec![0u64; k as usize];
-            for &(_, p) in &sink.assignments {
-                counts[p as usize] += 1;
-            }
-            let cap = ((1.05 * 8000.0) / k as f64).ceil() as u64;
-            assert!(counts.iter().all(|&c| c <= cap), "split {split}: {counts:?}");
-        }
-    }
-
-    #[test]
-    fn refine_gate_and_default() {
-        let g = hep_gen::GraphSpec::ChungLu { n: 1000, m: 8000, gamma: 2.0 }.generate(5);
-        let run = |passes: u32| {
-            let mut config = HepConfig::with_tau(10.0);
-            config.split_factor = 4;
-            config.refine_passes = passes;
-            let hep = Hep { config };
-            let mut sink = CollectedAssignment::default();
-            let report = hep.partition_with_report(&g, 8, &mut sink).unwrap();
-            (sink, report)
-        };
-        // `refine_passes = 0` is the unrefined pack path: no refinement
-        // bookkeeping, still exactly-once.
-        let (off_sink, off) = run(0);
-        assert_exactly_once(&g, &off_sink);
-        assert_eq!(off.nepp.refine_moves, 0);
-        assert!(off.nepp.refine_cover_sums.is_empty());
-        // The default is on for split paths: moves happen, the recorded
-        // per-pass cover sums are non-increasing, output is exactly-once.
-        let (on_sink, on) = run(crate::config::DEFAULT_REFINE_PASSES);
-        assert_exactly_once(&g, &on_sink);
-        assert!(on.nepp.refine_moves > 0, "refinement should fire on this graph");
-        let sums = &on.nepp.refine_cover_sums;
-        assert!(sums.len() >= 2);
-        assert!(sums.windows(2).all(|w| w[1] <= w[0]), "{sums:?}");
-    }
-
-    #[test]
-    fn split_factor_one_reproduces_serial_exactly() {
-        let g = hep_gen::GraphSpec::ChungLu { n: 600, m: 5000, gamma: 2.2 }.generate(4);
-        let serial = {
-            let mut config = HepConfig::with_tau(10.0);
-            config.parallel_nepp = false;
-            config.split_factor = 1;
-            let mut sink = CollectedAssignment::default();
-            Hep { config }.partition_with_report(&g, 8, &mut sink).unwrap();
-            sink.assignments
-        };
-        let split_one = {
-            let mut config = HepConfig::with_tau(10.0);
-            config.parallel_nepp = true;
-            config.split_factor = 1;
-            let mut sink = CollectedAssignment::default();
-            Hep { config }.partition_with_report(&g, 8, &mut sink).unwrap();
-            sink.assignments
-        };
-        assert_eq!(serial, split_one, "split_factor=1 must take the exact serial path");
     }
 
     #[test]

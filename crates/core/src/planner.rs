@@ -37,101 +37,6 @@ fn footprint_from_entries(column_entries: u64, n: u64, k: u32) -> u64 {
     column_entries * 4 + 6 * n * 4 + n * (k as u64 + 1) / 8
 }
 
-/// Extra bytes the sub-partitioned parallel NE++
-/// (`HepConfig::split_factor > 1`) needs on top of the §4.2 footprint: the
-/// read-only edge-id view of the in-memory edges (id → edge table,
-/// incidence ids, index array), the
-/// per-sub-partition expansion state (`k · split_factor` core/secondary
-/// bitsets and a heap position table each) and the global claimed-edge
-/// bitset. Callers planning τ against a hard budget should subtract this
-/// from the budget before invoking [`plan_tau`] when they intend to run the
-/// parallel phase — the parallel path trades memory for wall-clock, exactly
-/// like SNE against NE.
-pub fn estimate_parallel_nepp_overhead_bytes(
-    graph: &EdgeList,
-    tau: f64,
-    k: u32,
-    split_factor: u32,
-) -> u64 {
-    let stats = hep_graph::DegreeStats::new(graph, tau);
-    let mut inmem = 0u64;
-    let mut incidence = 0u64;
-    for e in &graph.edges {
-        let src_high = stats.is_high(e.src);
-        let dst_high = stats.is_high(e.dst);
-        if src_high && dst_high {
-            continue;
-        }
-        inmem += 1;
-        incidence += if !src_high && !dst_high { 2 } else { 1 };
-    }
-    let n = graph.num_vertices as u64;
-    let s = k as u64 * split_factor.max(1) as u64;
-    let subgraph = inmem * 8 + incidence * 4 + (n + 1) * 8;
-    // Per sub-partition: core + secondary bitsets, the heap's position
-    // table, and the round-local overlay bitset over the edge ids.
-    let per_sub = 2 * (n.div_ceil(64) * 8) + n * 4 + inmem.div_ceil(64) * 8;
-    // Granted edge-id lists (4 B/edge), the global claimed bitset and the
-    // ungranted-degree counters; the pack stage's vertex covers (one
-    // n-bitset per sub) and, while `s` is small enough for the dense
-    // overlap matrix, its s^2 u32 cells.
-    let bookkeeping = inmem * 4 + inmem.div_ceil(64) * 8 + n * 4;
-    let pack = s * (n.div_ceil(64) * 8)
-        + if s <= crate::nepp_par::MATRIX_MAX_SUBS { s * s * 4 } else { 0 };
-    subgraph + s * per_sub + bookkeeping + pack
-}
-
-/// Extra bytes the boundary-aware FM refinement
-/// (`HepConfig::refine_passes > 0` on the split path) needs while it runs
-/// — an upper bound the alloc-tracked property test
-/// (`tests/refine_memory.rs`) verifies against the measured peak:
-///
-/// * the **sparse boundary index**: per-vertex sorted rows of
-///   `(part, count)` entries with fixed capacity `min(d(v), k)` over the
-///   in-memory degree (sufficient because a part covers `v` only through
-///   an incident in-memory edge it owns) — `8` bytes per entry plus `12`
-///   per vertex of row bookkeeping. Unlike the dense `k × |V|` matrix it
-///   replaced, this term **saturates in `k`** once `k` exceeds a vertex's
-///   degree;
-/// * the edge-id → part ownership table (u32 per in-memory edge, with
-///   slack for the atomic conversion, the owner copy handed in, and the
-///   emission sequence);
-/// * the per-part filler pools (one u32 id per in-memory edge, plus
-///   growth and rollback slack);
-/// * the proposal buffers and gain-bucket commit queue, bounded by the
-///   boundary-capable entries (vertices with in-memory degree ≥ 2 — a
-///   degree-1 vertex can never be a boundary vertex), including the
-///   private per-move overlays of the parallel commit.
-///
-/// Like [`estimate_parallel_nepp_overhead_bytes`], callers planning τ
-/// against a hard budget should subtract this before invoking [`plan_tau`]
-/// when refinement is on — refinement trades transient memory for
-/// replication factor. The structural terms are exact; the queue bound is
-/// conservative when boundaries are small, but no term scales as
-/// `k × |V|`.
-pub fn estimate_refine_overhead_bytes(graph: &EdgeList, tau: f64, k: u32) -> u64 {
-    let stats = hep_graph::DegreeStats::new(graph, tau);
-    let n = graph.num_vertices as u64;
-    let mut inmem = 0u64;
-    let mut inmem_degree = vec![0u32; graph.num_vertices as usize];
-    for e in &graph.edges {
-        if stats.is_high(e.src) && stats.is_high(e.dst) {
-            continue;
-        }
-        inmem += 1;
-        inmem_degree[e.src as usize] += 1;
-        inmem_degree[e.dst as usize] += 1;
-    }
-    let entries: u64 = inmem_degree.iter().map(|&d| d.min(k) as u64).sum();
-    let boundary_entries: u64 =
-        inmem_degree.iter().filter(|&&d| d >= 2).map(|&d| d.min(k) as u64).sum();
-    let index = 12 * n + 8 + 8 * entries;
-    let owner = 12 * inmem;
-    let pools = 12 * inmem;
-    let queue = 48 * boundary_entries;
-    index + owner + pools + queue
-}
-
 /// Default phase-2 batch when no memory budget constrains it: big enough
 /// to amortize the per-batch barrier, small enough that the worst-case
 /// shortlist buffers stay a few MiB at paper-scale k.
@@ -174,8 +79,8 @@ fn stream_batch_bytes_per_edge(k: u32) -> u64 {
 ///   to `v` assigned at that moment (the scanning partition, plus at most
 ///   one spill target per edge), except a single possible dead-seed entry
 ///   (the seed cursor never revisits a vertex). The estimator therefore
-///   charges `min(k, 3·min(d(v), k) + 1)` per row — like the refine index,
-///   this **saturates in k**;
+///   charges `min(k, 3·min(d(v), k) + 1)` per row, so this
+///   **saturates in k**;
 /// * the per-vertex engine state: a 16 B record (batch-conflict stamp +
 ///   live-mask arena slot) per vertex and the shared-endpoint bitset;
 /// * the **live mask arena**: one ⌈k/64⌉-word candidate bitmask per
@@ -448,31 +353,6 @@ mod tests {
         let plan = plan_tau(&g, 8, budget, &[100.0, 10.0, 1.0]).unwrap().unwrap();
         let built = PrunedCsr::build(&g, plan.tau).memory_footprint_paper(8);
         assert!(built <= budget, "built {built} > budget {budget}");
-    }
-
-    #[test]
-    fn parallel_overhead_grows_with_split_factor_and_shrinks_with_tau() {
-        let g = graph();
-        let at = |tau, split| estimate_parallel_nepp_overhead_bytes(&g, tau, 8, split);
-        assert!(at(10.0, 4) > at(10.0, 1), "more sub-partitions, more state");
-        assert!(at(1.0, 4) <= at(100.0, 4), "lower tau, fewer in-memory edges");
-        assert!(at(10.0, 1) > 0);
-    }
-
-    #[test]
-    fn refine_overhead_scales_with_k_and_tau() {
-        let g = graph();
-        let at = |tau, k| estimate_refine_overhead_bytes(&g, tau, k);
-        assert!(at(10.0, 32) > at(10.0, 8), "more parts, more coverable entries");
-        assert!(at(1.0, 8) <= at(100.0, 8), "lower tau, fewer in-memory edges");
-        assert!(at(10.0, 8) > 0);
-        // The sparse index saturates in k (min(d(v), k) hits d(v) for every
-        // vertex) instead of scaling as k x |V| like the dense matrix did.
-        assert_eq!(
-            at(100.0, 20_000),
-            at(100.0, 40_000),
-            "estimate must stop growing once k exceeds the max degree"
-        );
     }
 
     #[test]

@@ -77,8 +77,7 @@ use hep_graph::{AssignSink, Edge, GraphError, PartitionId};
 
 /// Fixed chunk size of the parallel batch-scoring pass. A constant (not
 /// derived from the thread count) so the chunk decomposition — and with it
-/// every per-chunk allocation pattern — is identical at any `HEP_THREADS`,
-/// mirroring refine's `PROPOSE_CHUNK`.
+/// every per-chunk allocation pattern — is identical at any `HEP_THREADS`.
 const SCORE_CHUNK: usize = 1024;
 
 /// Edge flag: an endpoint is ≥ the vertex count (typed error at commit).

@@ -40,18 +40,6 @@ pub const KNOBS: &[EnvKnob] = &[
         since: "PR 2",
     },
     EnvKnob {
-        name: "HEP_SPLIT_FACTOR",
-        default: "1",
-        doc: "Sub-partitions per final part in the parallel NE++ phase (1 = exact serial path)",
-        since: "PR 3",
-    },
-    EnvKnob {
-        name: "HEP_REFINE_PASSES",
-        default: "2",
-        doc: "Boundary-aware FM refinement passes over the split path's packed parts",
-        since: "PR 4",
-    },
-    EnvKnob {
         name: "HEP_IO_MODE",
         default: "auto",
         doc: "HEPB pass backend: buffered reads or zero-copy mmap (bit-identical output)",
@@ -67,12 +55,6 @@ pub const KNOBS: &[EnvKnob] = &[
         name: "HEP_KERNEL",
         default: "auto",
         doc: "Bitset kernel dispatch: scalar|avx2|auto (bit-identical at any instruction set)",
-        since: "PR 7",
-    },
-    EnvKnob {
-        name: "HEP_CSR_LAYOUT",
-        default: "input",
-        doc: "Pruned-CSR column layout: input|degree (cache behavior only, identical output)",
         since: "PR 7",
     },
     EnvKnob {

@@ -15,12 +15,20 @@ use hep::core::{
 use hep::graph::{BinaryEdgeFile, Edge, EdgeList, IoMode, PrunedCsr};
 use hep::metrics::alloc_track::{self, CountingAlloc};
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// One measured region at a time: the peak counter is process-wide.
-static REGION: std::sync::Mutex<()> = std::sync::Mutex::new(());
+/// One test body at a time: the peak counter is process-wide, so a sibling
+/// test generating a graph or writing a file on another core would inflate
+/// the measured peak. Every test holds [`exclusive`] for its whole body,
+/// set-up included.
+static REGION: Mutex<()> = Mutex::new(());
+
+fn exclusive() -> MutexGuard<'static, ()> {
+    REGION.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 struct TempFileGuard(PathBuf);
 
@@ -42,19 +50,18 @@ fn write_file(graph: &EdgeList, name: &str) -> (BinaryEdgeFile, TempFileGuard) {
 /// allocator. Returns the built CSR, the executed plan, the h2h count, and
 /// the measured peak heap in bytes. The buffered backend is the
 /// conservative one to track: its pass buffers live on the heap, where
-/// mmap pages would be invisible to the allocator.
+/// mmap pages would be invisible to the allocator. The caller holds
+/// [`exclusive`].
 fn measured_ingest(
     file: &BinaryEdgeFile,
     tau: f64,
     budget: Option<u64>,
 ) -> (PrunedCsr, IngestPlan, u64, u64) {
-    let guard = REGION.lock().unwrap_or_else(|p| p.into_inner());
     alloc_track::reset_peak();
     let baseline = alloc_track::current_bytes();
     let mut h2h = 0u64;
     let result = ingest_file_budgeted(file, tau, budget, IoMode::Buffered, None, |_| h2h += 1);
     let peak = alloc_track::peak_bytes().saturating_sub(baseline) as u64;
-    drop(guard);
     let (csr, plan) = result.unwrap();
     (csr, plan, h2h, peak)
 }
@@ -64,6 +71,7 @@ fn measured_ingest(
 /// the unbounded one.
 #[test]
 fn peak_ingestion_within_estimate_within_budget_across_scales() {
+    let _region = exclusive();
     let tau = 10.0;
     for (n, m, seed) in [(2_000u32, 16_000u64, 1u64), (20_000, 160_000, 2)] {
         let g = hep::gen::GraphSpec::ChungLu { n, m, gamma: 2.2 }.generate(seed);
@@ -107,6 +115,7 @@ fn peak_ingestion_within_estimate_within_budget_across_scales() {
 /// the measured peak still honors both the estimate and the budget.
 #[test]
 fn tau_degrades_rather_than_exceeding_budget() {
+    let _region = exclusive();
     let requested = 100.0;
     let g = hep::gen::GraphSpec::ChungLu { n: 3_000, m: 24_000, gamma: 2.2 }.generate(3);
     let (file, _guard) = write_file(&g, "degrade");
@@ -141,6 +150,7 @@ fn tau_degrades_rather_than_exceeding_budget() {
 /// is a counting closure so no assignment storage muddies the measurement.
 #[test]
 fn stream_engine_peak_stays_within_planner_estimate() {
+    let _region = exclusive();
     let n = 10_000u32;
     let m = 50_000usize;
     let k = 32u32;
@@ -169,7 +179,6 @@ fn stream_engine_peak_stays_within_planner_estimate() {
         // Clone the consumed inputs outside the measured region: the
         // estimate covers the engine's own state, not its seed sets.
         let (run_sets, run_sizes) = (seed_sets.clone(), sizes.clone());
-        let guard = REGION.lock().unwrap_or_else(|p| p.into_inner());
         alloc_track::reset_peak();
         let baseline = alloc_track::current_bytes();
         let mut assigned = 0u64;
@@ -186,7 +195,6 @@ fn stream_engine_peak_stays_within_planner_estimate() {
             &mut sink,
         );
         let peak = alloc_track::peak_bytes().saturating_sub(baseline) as u64;
-        drop(guard);
         let state = result.unwrap();
         assert_eq!(assigned, m as u64);
         assert_eq!(
@@ -206,6 +214,7 @@ fn stream_engine_peak_stays_within_planner_estimate() {
 /// promise that memory is bounded by the *retained* structure, not |E|.
 #[test]
 fn ingests_graph_whose_edge_list_exceeds_the_budget() {
+    let _region = exclusive();
     // A dense hub clique (all h2h at τ=1: every hub is far above the mean
     // degree) plus degree-1 spokes that keep the mean low.
     let hubs: u32 = 1_500;

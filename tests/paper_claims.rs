@@ -11,17 +11,6 @@ fn rf(p: &mut dyn EdgePartitioner, g: &EdgeList, k: u32) -> f64 {
     m.replication_factor()
 }
 
-/// HEP pinned to the serial NE++ of §3.2. These tests certify the *paper's*
-/// claims, which are about the serial algorithm; the `HEP_SPLIT_FACTOR`
-/// environment ablation (sub-partitioned parallel NE++) trades some
-/// replication factor for parallelism and has its own bounds in
-/// `tests/parallel_determinism.rs`.
-fn serial_hep(tau: f64) -> hep::core::Hep {
-    let mut config = hep::core::HepConfig::with_tau(tau);
-    config.split_factor = 1;
-    hep::core::Hep { config }
-}
-
 fn web_graph() -> EdgeList {
     hep::gen::dataset("IT", 1).expect("IT exists").generate()
 }
@@ -35,7 +24,7 @@ fn social_graph() -> EdgeList {
 #[test]
 fn hep_100_tracks_ne_quality() {
     for g in [web_graph(), social_graph()] {
-        let hep = rf(&mut serial_hep(100.0), &g, 32);
+        let hep = rf(&mut hep::core::Hep::with_tau(100.0), &g, 32);
         let ne = rf(&mut hep::baselines::Ne::default(), &g, 32);
         assert!(hep <= ne * 1.10, "HEP-100 rf {hep} vs NE rf {ne}");
     }
@@ -46,7 +35,7 @@ fn hep_100_tracks_ne_quality() {
 #[test]
 fn hep_1_beats_streaming() {
     for g in [web_graph(), social_graph()] {
-        let hep = rf(&mut serial_hep(1.0), &g, 32);
+        let hep = rf(&mut hep::core::Hep::with_tau(1.0), &g, 32);
         let hdrf = rf(&mut hep::baselines::Hdrf::default(), &g, 32);
         let dbh = rf(&mut hep::baselines::Dbh::default(), &g, 32);
         assert!(hep < hdrf, "HEP-1 rf {hep} vs HDRF rf {hdrf}");
@@ -76,8 +65,8 @@ fn tau_controls_memory_monotonically() {
 #[test]
 fn rf_degrades_gracefully_with_tau() {
     let g = web_graph();
-    let rf100 = rf(&mut serial_hep(100.0), &g, 32);
-    let rf1 = rf(&mut serial_hep(1.0), &g, 32);
+    let rf100 = rf(&mut hep::core::Hep::with_tau(100.0), &g, 32);
+    let rf1 = rf(&mut hep::core::Hep::with_tau(1.0), &g, 32);
     assert!(rf100 <= rf1 * 1.02, "quality should not improve as memory shrinks");
     assert!(rf1 < rf100 * 2.5, "tau=1 should degrade gracefully: {rf100} -> {rf1}");
 }
@@ -87,7 +76,7 @@ fn rf_degrades_gracefully_with_tau() {
 #[test]
 fn hep_beats_simple_hybrid() {
     let g = social_graph();
-    let hep = rf(&mut serial_hep(1.0), &g, 32);
+    let hep = rf(&mut hep::core::Hep::with_tau(1.0), &g, 32);
     let simple = rf(&mut hep::core::SimpleHybrid::with_tau(1.0), &g, 32);
     assert!(hep < simple, "HEP rf {hep} vs simple hybrid rf {simple}");
 }
@@ -125,8 +114,8 @@ fn web_graphs_partition_better_than_social() {
     let ne_web = rf(&mut hep::baselines::Ne::default(), &web, 32);
     let ne_social = rf(&mut hep::baselines::Ne::default(), &social, 32);
     assert!(ne_web < ne_social, "NE: web {ne_web} vs social {ne_social}");
-    let hep_web = rf(&mut serial_hep(10.0), &web, 32);
-    let hep_social = rf(&mut serial_hep(10.0), &social, 32);
+    let hep_web = rf(&mut hep::core::Hep::with_tau(10.0), &web, 32);
+    let hep_social = rf(&mut hep::core::Hep::with_tau(10.0), &social, 32);
     assert!(hep_web < hep_social, "HEP: web {hep_web} vs social {hep_social}");
 }
 
@@ -140,7 +129,7 @@ fn processing_cost_tracks_replication() {
     let k = 32;
     let mut outcomes = Vec::new();
     for p in [
-        Box::new(serial_hep(10.0)) as Box<dyn EdgePartitioner>,
+        Box::new(hep::core::Hep::with_tau(10.0)) as Box<dyn EdgePartitioner>,
         Box::new(hep::baselines::Hdrf::default()),
         Box::new(hep::baselines::RandomStreaming::default()),
     ] {

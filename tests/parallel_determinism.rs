@@ -132,119 +132,29 @@ proptest! {
     }
 
     #[test]
-    fn parallel_nepp_is_thread_invariant(seed in 0u64..1000, split in 2u32..6) {
-        // The whole HEP pipeline with sub-partitioned NE++: bitwise-equal
-        // assignment sequences at 1 and 8 workers for a fixed split factor.
-        let g = hep::gen::GraphSpec::ChungLu { n: 1_500, m: 12_000, gamma: 2.2 }.generate(seed);
-        let (a, b) = serial_vs_parallel(|| {
-            let mut config = hep::core::HepConfig::with_tau(10.0);
-            config.split_factor = split;
-            let hep = hep::core::Hep { config };
-            let mut sink = hep::graph::partitioner::CollectedAssignment::default();
-            hep.partition_with_report(&g, 8, &mut sink).unwrap();
-            sink.assignments
-        });
-        prop_assert_eq!(a, b);
-    }
-
-    #[test]
-    fn refined_nepp_is_thread_invariant(
-        seed in 0u64..1000,
-        passes in prop_oneof![Just(0u32), Just(1), Just(3)],
-    ) {
-        // The boundary-aware FM refinement (and the hub-aware merge it
-        // enables) must keep the whole pipeline bitwise-equal at 1 and 8
-        // workers; `refine_passes = 0` pins the unrefined pack output on
-        // the same invariant.
-        let g = hep::gen::GraphSpec::ChungLu { n: 1_500, m: 12_000, gamma: 2.2 }.generate(seed);
-        let (a, b) = serial_vs_parallel(|| {
-            let mut config = hep::core::HepConfig::with_tau(10.0);
-            config.split_factor = 4;
-            config.refine_passes = passes;
-            let hep = hep::core::Hep { config };
-            let mut sink = hep::graph::partitioner::CollectedAssignment::default();
-            hep.partition_with_report(&g, 8, &mut sink).unwrap();
-            sink.assignments
-        });
-        prop_assert_eq!(a, b);
-    }
-
-    #[test]
-    fn refine_parallel_commit_is_thread_invariant(
-        seed in 0u64..1000,
-        k in prop_oneof![Just(8u32), Just(32), Just(64)],
-        passes in 1u32..4,
-    ) {
-        // The PR 5 commit engine in isolation: the gain-bucket queue's
-        // part-disjoint conflict-group waves (per-part FIFO scheduling on
-        // `par_rounds` persistent workers) must reproduce the serial
-        // queue drain bit-for-bit — moves, per-pass cover sums, and the
-        // full refined owner table (fingerprinted) — at 1 vs 8 workers.
-        // k = 64 makes the waves wide enough that the 8-worker run really
-        // dispatches them instead of inlining everything.
-        let g = hep::gen::GraphSpec::ChungLu { n: 2_000, m: 16_000, gamma: 2.2 }.generate(seed);
-        let probe = hep::core::RefineProbe::build(&g, 10.0, k, 4);
-        let (a, b) = serial_vs_parallel(|| probe.run(passes));
-        prop_assert_eq!(&a, &b);
-        prop_assert_eq!(a.stale_skips, 0, "no stale queue entry may survive revalidation");
-        prop_assert!(a.moves > 0, "probe workload must exercise the commit");
-    }
-
-    #[test]
-    fn csr_layouts_produce_identical_partitions(
-        seed in 0u64..1000,
-        split in prop_oneof![Just(1u32), Just(4)],
-        tau in prop_oneof![Just(1.0f64), Just(10.0)],
-    ) {
-        // The cache-conscious degree-sorted CSR layout is a pure segment
-        // permutation: every adjacency list reads back identically, so
-        // the full pipeline's assignment sequence must be bit-identical
-        // to the input-order layout on both the serial and split paths.
-        let g = hep::gen::GraphSpec::ChungLu { n: 1_500, m: 12_000, gamma: 2.2 }.generate(seed);
-        let run = |layout: hep::core::CsrLayout| {
-            let mut config = hep::core::HepConfig::with_tau(tau);
-            config.split_factor = split;
-            config.csr_layout = layout;
-            let hep = hep::core::Hep { config };
-            let mut sink = hep::graph::partitioner::CollectedAssignment::default();
-            let report = hep.partition_with_report(&g, 8, &mut sink).unwrap();
-            (sink.assignments, report.partition_sizes)
-        };
-        let input_order = run(hep::core::CsrLayout::InputOrder);
-        let degree_sorted = run(hep::core::CsrLayout::DegreeSorted);
-        prop_assert_eq!(input_order, degree_sorted, "layouts diverged at split={}", split);
-    }
-
-    #[test]
     fn mmap_and_buffered_file_pipelines_are_bit_identical(seed in 0u64..1000) {
         // The PassSource contract: the mmap and buffered backends feed the
         // degree pass, the budgeted CSR sweeps, and phase-2 streaming the
         // exact same byte stream, so the full file pipeline is bit-identical
-        // across backends at every (threads × split) configuration.
+        // across backends at every thread count.
         use hep::graph::{BinaryEdgeFile, IoMode};
         let g = hep::gen::GraphSpec::ChungLu { n: 1_200, m: 10_000, gamma: 2.2 }.generate(seed);
         let mut path = std::env::temp_dir();
         path.push(format!("hep_io_determinism_{}_{}.hepb", std::process::id(), seed));
         let file = BinaryEdgeFile::write(&path, &g).unwrap();
         for threads in [1usize, 8] {
-            for split in [1u32, 4] {
-                let run = |mode: IoMode| {
-                    hep::par::with_threads(threads, || {
-                        let mut config = hep::core::HepConfig::with_tau(10.0);
-                        config.split_factor = split;
-                        config.io_mode = mode;
-                        let hep = hep::core::Hep { config };
-                        let mut sink = hep::graph::partitioner::CollectedAssignment::default();
-                        let report = hep.partition_file_with_report(&file, 8, &mut sink).unwrap();
-                        (sink.assignments, report.partition_sizes)
-                    })
-                };
-                let (buffered, mmap) = (run(IoMode::Buffered), run(IoMode::Mmap));
-                prop_assert_eq!(
-                    buffered, mmap,
-                    "io backends diverged at threads={}, split={}", threads, split
-                );
-            }
+            let run = |mode: IoMode| {
+                hep::par::with_threads(threads, || {
+                    let mut config = hep::core::HepConfig::with_tau(10.0);
+                    config.io_mode = mode;
+                    let hep = hep::core::Hep { config };
+                    let mut sink = hep::graph::partitioner::CollectedAssignment::default();
+                    let report = hep.partition_file_with_report(&file, 8, &mut sink).unwrap();
+                    (sink.assignments, report.partition_sizes)
+                })
+            };
+            let (buffered, mmap) = (run(IoMode::Buffered), run(IoMode::Mmap));
+            prop_assert_eq!(buffered, mmap, "io backends diverged at threads={}", threads);
         }
         std::fs::remove_file(&path).ok();
     }
@@ -275,167 +185,7 @@ proptest! {
     }
 
     #[test]
-    fn refinement_preserves_caps_and_never_increases_rf(
-        seed in 0u64..1000,
-        split in 2u32..5,
-        passes in 1u32..4,
-        community in any::<bool>(),
-    ) {
-        // Phase-level safety of the FM refinement: the serial balanced
-        // caps hold exactly after every pass, the per-pass cover sums
-        // (the replication-factor numerator) never increase, and the
-        // refined phase never beats the caps by dropping edges.
-        let g = if community {
-            hep::gen::community::community_web(
-                hep::gen::community::CommunityParams::weblike(2_000, 16_000),
-                seed,
-            )
-        } else {
-            hep::gen::GraphSpec::ChungLu { n: 2_000, m: 16_000, gamma: 2.2 }.generate(seed)
-        };
-        let k = 8;
-        let phase1 = |refine_passes: u32| {
-            let csr = hep::graph::PrunedCsr::build(&g, 10.0);
-            let inmem = csr.num_inmem_edges();
-            let mut config = hep::core::HepConfig::with_tau(10.0);
-            config.split_factor = split;
-            config.refine_passes = refine_passes;
-            let mut sink = hep::graph::partitioner::CountingSink::default();
-            let result = hep::core::run_nepp_par(csr, k, &config, &mut sink);
-            (result, inmem)
-        };
-        let (unrefined, inmem) = phase1(0);
-        let (refined, _) = phase1(passes);
-        // Caps: every part within the serial balanced bounds, same load
-        // vector as the unrefined pack (filler compensation is exact).
-        prop_assert_eq!(refined.sizes.iter().sum::<u64>(), inmem);
-        prop_assert_eq!(&refined.sizes, &unrefined.sizes);
-        let ideal = inmem / k as u64;
-        for (p, &sz) in refined.sizes.iter().enumerate() {
-            prop_assert!(sz <= ideal + 1, "p{} size {} sizes {:?}", p, sz, refined.sizes);
-        }
-        // RF numerator: refined covers never exceed the unrefined ones,
-        // and the recorded per-pass sums are non-increasing.
-        let cover_sum = |r: &hep::core::NeppResult| -> u64 {
-            r.s_sets.iter().map(|s| s.count_ones() as u64).sum()
-        };
-        prop_assert!(cover_sum(&refined) <= cover_sum(&unrefined));
-        let sums = &refined.stats.refine_cover_sums;
-        if inmem > 0 {
-            prop_assert!(!sums.is_empty(), "refinement ran: cover sums recorded");
-            prop_assert_eq!(*sums.first().unwrap(), cover_sum(&unrefined));
-            prop_assert_eq!(*sums.last().unwrap(), cover_sum(&refined));
-            prop_assert!(sums.windows(2).all(|w| w[1] <= w[0]), "{:?}", sums);
-        }
-    }
-
-    #[test]
-    fn refined_split_rf_within_15_percent_of_serial_at_hep10(
-        seed in 0u64..1000,
-        community in any::<bool>(),
-    ) {
-        // The acceptance bound this subsystem exists for: at HEP-10 /
-        // split_factor = 4 (where the unrefined pack measured +15-40%
-        // over the serial path), the refined pipeline's replication
-        // factor stays within 15% of serial NE++ on both graph families.
-        let g = if community {
-            hep::gen::community::community_web(
-                hep::gen::community::CommunityParams::weblike(3_000, 24_000),
-                seed,
-            )
-        } else {
-            hep::gen::GraphSpec::ChungLu { n: 3_000, m: 24_000, gamma: 2.2 }.generate(seed)
-        };
-        let k = 8;
-        let run = |split_factor: u32, refine_passes: u32| {
-            let mut config = hep::core::HepConfig::with_tau(10.0);
-            config.split_factor = split_factor;
-            config.refine_passes = refine_passes;
-            let hep = hep::core::Hep { config };
-            let mut sink = hep::graph::partitioner::CollectedAssignment::default();
-            hep.partition_with_report(&g, k, &mut sink).unwrap();
-            hep::metrics::PartitionMetrics::from_assignment(k, g.num_vertices, &sink)
-                .replication_factor()
-        };
-        let serial_rf = run(1, 0);
-        let refined_rf = run(4, hep::core::DEFAULT_REFINE_PASSES);
-        prop_assert!(
-            refined_rf <= serial_rf * 1.15,
-            "refined split rf {} exceeds serial rf {} by more than 15%",
-            refined_rf,
-            serial_rf
-        );
-    }
-
-    #[test]
-    fn subpartitioned_nepp_exactly_once_with_capacity_and_rf(
-        seed in 0u64..1000,
-        split in 2u32..5,
-        community in any::<bool>(),
-    ) {
-        // Quality and safety of the split expansion against the serial
-        // path, on the two graph families the paper's contrast rests on:
-        // exactly-once coverage, the serial balanced capacity bounds, and
-        // replication factor within 10% of serial NE++ (measured at HEP-1,
-        // where phase 1 and phase 2 share the load; see EXPERIMENTS.md for
-        // the HEP-10 trade-off numbers).
-        use hep::graph::Edge;
-        let g = if community {
-            hep::gen::community::community_web(
-                hep::gen::community::CommunityParams::weblike(3_000, 24_000),
-                seed,
-            )
-        } else {
-            hep::gen::GraphSpec::ChungLu { n: 3_000, m: 24_000, gamma: 2.2 }.generate(seed)
-        };
-        let k = 8;
-        let run = |split_factor: u32| {
-            let mut config = hep::core::HepConfig::with_tau(1.0);
-            config.split_factor = split_factor;
-            let hep = hep::core::Hep { config };
-            let mut sink = hep::graph::partitioner::CollectedAssignment::default();
-            let report = hep.partition_with_report(&g, k, &mut sink).unwrap();
-            let rf = hep::metrics::PartitionMetrics::from_assignment(k, g.num_vertices, &sink)
-                .replication_factor();
-            (sink, report, rf)
-        };
-        let (_, _, serial_rf) = run(1);
-        let (sink, report, split_rf) = run(split);
-        // Exactly-once over the whole pipeline.
-        let mut seen: Vec<Edge> = sink.assignments.iter().map(|(e, _)| e.canonical()).collect();
-        seen.sort_unstable();
-        let mut expect: Vec<Edge> = g.edges.iter().map(|e| e.canonical()).collect();
-        expect.sort_unstable();
-        prop_assert_eq!(seen, expect);
-        prop_assert_eq!(report.partition_sizes.iter().sum::<u64>(), g.num_edges());
-        // NE++ capacity bounds at the phase level: the pack stage enforces
-        // the serial balanced caps exactly (every part <= ideal + 1).
-        let csr = hep::graph::PrunedCsr::build(&g, 1.0);
-        let inmem = csr.num_inmem_edges();
-        let mut config = hep::core::HepConfig::with_tau(1.0);
-        config.split_factor = split;
-        let mut nepp_sink = hep::graph::partitioner::CountingSink::default();
-        let phase1 = hep::core::run_nepp_par(csr, k, &config, &mut nepp_sink);
-        prop_assert_eq!(phase1.sizes.iter().sum::<u64>(), inmem);
-        let ideal = inmem / k as u64;
-        for (p, &sz) in phase1.sizes.iter().enumerate() {
-            prop_assert!(sz <= ideal + 1, "p{} size {} over cap, sizes {:?}", p, sz, phase1.sizes);
-        }
-        // Replication factor within 10% of the serial path.
-        prop_assert!(
-            split_rf <= serial_rf * 1.10,
-            "split {} rf {} exceeds serial rf {} by more than 10%",
-            split,
-            split_rf,
-            serial_rf
-        );
-    }
-
-    #[test]
-    fn batched_stream_pipeline_is_thread_and_batch_invariant(
-        seed in 0u64..1000,
-        split in prop_oneof![Just(1u32), Just(4)],
-    ) {
+    fn batched_stream_pipeline_is_thread_and_batch_invariant(seed in 0u64..1000) {
         // The PR 8 tentpole invariant at the pipeline level: the batched
         // phase-2 engine is bit-identical at every (thread count × batch
         // size) combination, including batch = 1 (a frozen snapshot per
@@ -445,7 +195,6 @@ proptest! {
         let run = |threads: usize, batch: usize| {
             hep::par::with_threads(threads, || {
                 let mut config = hep::core::HepConfig::with_tau(1.0);
-                config.split_factor = split;
                 config.stream_batch = batch;
                 let hep = hep::core::Hep { config };
                 let mut sink = hep::graph::partitioner::CollectedAssignment::default();
