@@ -31,7 +31,7 @@ pub use hdrf::Hdrf;
 pub use metis_like::MetisLike;
 pub use ne::Ne;
 pub use random::RandomStreaming;
-pub use scoring::{ReplicaState, SparseReplicas};
+pub use scoring::ReplicaState;
 pub use sne::Sne;
 
 /// The baseline set of Figure 8's full comparison, boxed for experiment

@@ -172,165 +172,6 @@ pub fn capacity(num_edges: u64, k: u32, alpha: f64) -> u64 {
     ((alpha * num_edges as f64) / k as f64).ceil() as u64
 }
 
-/// Per-vertex sorted replica rows: the sparse dual of [`ReplicaState`]'s
-/// k dense bitsets.
-///
-/// `parts_of(v)` is the ascending list of partitions holding a replica of
-/// `v`. Rows are capacity-bounded rather than k-wide: every *streaming*
-/// assignment that replicates `v` consumes one incident h2h edge, so the
-/// stream can grow a row by at most `min(degree(v), k)` beyond its seeded
-/// length ([`SparseReplicas::from_seed_sets`] sizes rows as
-/// `min(k, seeds(v) + min(degree(v), k))`). Seed rows themselves are *not*
-/// purely edge-justified — NE++ admits a vertex to a secondary set as a
-/// dead seed or at a spill target without that partition owning one of its
-/// edges — which is why the seeded constructor counts the actual sets
-/// instead of trusting `degree(v)`. This is the `SparseCounts` capacity
-/// argument from the refine engine, applied to phase 2: total footprint
-/// stays `O(Σ min(δ(v), k) + Σ_p |S_p|)` entries and *saturates in k*
-/// instead of scaling `k×|V|` the way the dense sets do.
-#[derive(Clone, Debug)]
-pub struct SparseReplicas {
-    k: u32,
-    /// Row start offsets (length `n + 1`): row `v` may use
-    /// `parts[start[v] .. start[v + 1]]`.
-    start: Vec<u64>,
-    /// Occupied prefix length of each row.
-    len: Vec<u32>,
-    /// Ascending partition ids, `len[v]` live entries per row.
-    parts: Vec<u32>,
-}
-
-impl SparseReplicas {
-    fn with_row_capacities(k: u32, caps: impl ExactSizeIterator<Item = u32>) -> Self {
-        assert!(k >= 1, "need k >= 1");
-        let n = caps.len();
-        let mut start = Vec::with_capacity(n + 1);
-        let mut acc = 0u64;
-        start.push(0);
-        for c in caps {
-            acc += u64::from(c);
-            start.push(acc);
-        }
-        SparseReplicas { k, start, len: vec![0; n], parts: vec![0; acc as usize] }
-    }
-
-    /// Empty index for `k` partitions with rows sized `min(degrees[v], k)` —
-    /// sound only when every replica is edge-justified (cold-start streaming:
-    /// each replica of `v` is created by assigning an edge incident to `v`).
-    pub fn new(k: u32, degrees: &[u32]) -> Self {
-        SparseReplicas::with_row_capacities(k, degrees.iter().map(|&d| d.min(k)))
-    }
-
-    /// Index seeded from dense per-partition sets (NE++'s secondary sets).
-    ///
-    /// Rows are sized `min(k, seeds(v) + min(degrees[v], k))`: the stream can
-    /// replicate `v` on at most one new partition per incident h2h edge, so
-    /// `min(degree, k)` bounds all *future* growth, while the seeded prefix is
-    /// counted from the sets themselves — NE++ places vertices in secondary
-    /// sets it never assigned an incident edge to (dead seeds, spill targets),
-    /// so `degree(v)` does not bound the seeded length.
-    ///
-    /// Iterating partitions in ascending id appends each row in sorted order.
-    pub fn from_seed_sets(seed_sets: &[DenseBitset], degrees: &[u32]) -> Self {
-        let k = seed_sets.len() as u32;
-        let mut seeds = vec![0u32; degrees.len()];
-        for set in seed_sets {
-            for v in set.iter_ones() {
-                seeds[v as usize] += 1;
-            }
-        }
-        let caps = degrees
-            .iter()
-            .zip(&seeds)
-            .map(|(&d, &s)| (u64::from(s) + u64::from(d.min(k))).min(u64::from(k)) as u32);
-        let mut s = SparseReplicas::with_row_capacities(k, caps);
-        drop(seeds);
-        for (p, set) in seed_sets.iter().enumerate() {
-            for v in set.iter_ones() {
-                s.push_back(v, p as PartitionId);
-            }
-        }
-        s
-    }
-
-    /// Number of partitions.
-    #[inline]
-    pub fn k(&self) -> u32 {
-        self.k
-    }
-
-    /// Number of vertices the index covers.
-    #[inline]
-    pub fn num_vertices(&self) -> u32 {
-        self.len.len() as u32
-    }
-
-    /// Ascending partition ids replicating `v`.
-    #[inline]
-    pub fn parts_of(&self, v: VertexId) -> &[u32] {
-        debug_assert!(v < self.num_vertices(), "vertex id {v} out of range");
-        let s = self.start[v as usize] as usize;
-        &self.parts[s..s + self.len[v as usize] as usize]
-    }
-
-    /// Whether `v` has a replica on `p` (binary search over the row).
-    #[inline]
-    pub fn is_replicated(&self, v: VertexId, p: PartitionId) -> bool {
-        self.parts_of(v).binary_search(&p).is_ok()
-    }
-
-    /// Appends `p` to `v`'s row without searching; requires `p` greater than
-    /// every part already in the row (seeding iterates parts ascending).
-    fn push_back(&mut self, v: VertexId, p: PartitionId) {
-        let vi = v as usize;
-        let end = self.start[vi] + u64::from(self.len[vi]);
-        debug_assert!(end < self.start[vi + 1], "seeded row exceeds its counted capacity");
-        debug_assert!(self.len[vi] == 0 || self.parts[end as usize - 1] < p);
-        self.parts[end as usize] = p;
-        self.len[vi] += 1;
-    }
-
-    /// Inserts a replica of `v` on `p`, keeping the row sorted. Returns
-    /// `true` if the replica is new.
-    pub fn add_replica(&mut self, v: VertexId, p: PartitionId) -> bool {
-        debug_assert!(v < self.num_vertices(), "vertex id {v} out of range");
-        let vi = v as usize;
-        let s = self.start[vi] as usize;
-        let l = self.len[vi] as usize;
-        match self.parts[s..s + l].binary_search(&p) {
-            Ok(_) => false,
-            Err(pos) => {
-                debug_assert!(
-                    ((s + l) as u64) < self.start[vi + 1],
-                    "stream added more replicas than the row's incident-edge bound"
-                );
-                self.parts.copy_within(s + pos..s + l, s + pos + 1);
-                self.parts[s + pos] = p;
-                self.len[vi] += 1;
-                true
-            }
-        }
-    }
-
-    /// Materializes the k dense bitsets (for `finish`/metrics consumers that
-    /// still want [`ReplicaState`]'s layout).
-    pub fn to_dense(&self) -> Vec<DenseBitset> {
-        let n = self.len.len();
-        let mut sets: Vec<DenseBitset> = (0..self.k).map(|_| DenseBitset::new(n)).collect();
-        for v in 0..n as u32 {
-            for &p in self.parts_of(v) {
-                sets[p as usize].set(v);
-            }
-        }
-        sets
-    }
-
-    /// Heap footprint in bytes (for budget accounting and alloc tests).
-    pub fn heap_bytes(&self) -> u64 {
-        (self.start.capacity() * 8 + self.len.capacity() * 4 + self.parts.capacity() * 4) as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,39 +272,6 @@ mod tests {
         // Scoring at saturated loads must not panic (max - min stays in range)
         // and still steers toward the light partition.
         assert_eq!(s.best_partition(2, 3, 1, 1, 1.0, u64::MAX, true), 1);
-    }
-
-    #[test]
-    fn sparse_rows_match_dense_membership() {
-        let degrees = vec![3u32, 1, 5, 0, 2];
-        let mut seed: Vec<DenseBitset> = (0..4).map(|_| DenseBitset::new(5)).collect();
-        seed[1].set(0);
-        seed[3].set(0);
-        seed[2].set(2);
-        let mut s = SparseReplicas::from_seed_sets(&seed, &degrees);
-        assert_eq!(s.parts_of(0), &[1, 3]);
-        assert_eq!(s.parts_of(2), &[2]);
-        assert_eq!(s.parts_of(3), &[] as &[u32]);
-        // Out-of-order insert keeps rows sorted; duplicates are rejected.
-        assert!(s.add_replica(0, 0));
-        assert!(!s.add_replica(0, 3));
-        assert_eq!(s.parts_of(0), &[0, 1, 3]);
-        assert!(s.is_replicated(0, 1) && !s.is_replicated(0, 2));
-        let dense = s.to_dense();
-        for (p, set) in dense.iter().enumerate() {
-            for v in 0..5u32 {
-                assert_eq!(set.get(v), s.is_replicated(v, p as u32));
-            }
-        }
-    }
-
-    #[test]
-    fn sparse_row_capacity_saturates_in_k() {
-        // Row capacity is min(degree, k): a degree-1000 vertex with k=4
-        // costs 4 entries, not 1000.
-        let degrees = vec![1000u32, 2];
-        let s = SparseReplicas::new(4, &degrees);
-        assert_eq!(s.heap_bytes(), (3 * 8 + 2 * 4 + (4 + 2) * 4) as u64);
     }
 
     #[test]

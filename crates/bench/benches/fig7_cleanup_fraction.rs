@@ -4,10 +4,9 @@
 //! survivors' lists.
 //!
 //! The same binary also measures the other phase-2 cost center this repo
-//! tracks: streaming throughput (edges/s) of the batched sparse-index
-//! engine against the serial dense-scan reference, at k = 32 and 128
-//! across a batch-size sweep, on a hub-skewed synthetic h2h stream
-//! (≥ 1M edges outside smoke mode).
+//! tracks: streaming throughput (edges/s) of the replica-mask engine
+//! against the serial dense-scan oracle, at k = 32 and 128, on a
+//! hub-skewed synthetic h2h stream (≥ 1M edges outside smoke mode).
 
 use hep_bench::{banner, load_dataset};
 use hep_core::{stream_h2h, stream_h2h_serial};
@@ -66,9 +65,9 @@ fn main() {
     println!("{}", t.render());
     println!("(paper: < 0.5 everywhere, particularly low on web graphs)");
 
-    // Phase-2 streaming throughput: serial dense scan vs batched sparse
-    // engine, per batch size. Time only the stream call; the workload,
-    // seed sets and sink live outside the measured window.
+    // Phase-2 streaming throughput: serial dense oracle vs the engine. Time
+    // only the stream call; the workload, seed sets and sink live outside
+    // the measured window.
     let m = if hep_bench::test_mode() { 20_000 } else { 1_500_000 };
     // Best-of-N timing: the CI container is shared, and single-shot
     // timings of either engine swing by ±10% run to run; the minimum over
@@ -76,63 +75,50 @@ fn main() {
     let reps = if hep_bench::test_mode() { 1 } else { 3 };
     let n = (m / 50).max(256) as u32;
     let (edges, degrees) = synth_h2h(n, m, 99);
-    let mut tp = Table::new(["k", "engine", "batch", "edges/s", "speedup vs serial"]);
+    let mut tp = Table::new(["k", "serial edges/s", "engine edges/s", "speedup"]);
     for k in [32u32, 128] {
         let (sets, sizes) = seeded_state(k, n);
-        let mut best = f64::MAX;
+        let mut best = [f64::MAX; 2];
         for _ in 0..reps {
-            let mut sink = CountingSink::default();
-            let start = Instant::now();
-            stream_h2h_serial(
-                edges.iter().copied(),
-                &degrees,
-                sets.clone(),
-                sizes.clone(),
-                2 * m as u64,
-                1.1,
-                1.05,
-                &mut sink,
-            )
-            .expect("serial stream runs");
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        let serial_eps = m as f64 / best;
-        tp.row([
-            k.to_string(),
-            "serial".to_string(),
-            "-".to_string(),
-            format!("{serial_eps:.0}"),
-            "1.00".to_string(),
-        ]);
-        for batch in [64usize, 1024, 8192, 65536] {
-            let mut best = f64::MAX;
-            for _ in 0..reps {
+            for (engine, slot) in best.iter_mut().enumerate() {
                 let (run_sets, run_sizes) = (sets.clone(), sizes.clone());
                 let mut sink = CountingSink::default();
                 let start = Instant::now();
-                stream_h2h(
-                    edges.iter().copied(),
-                    &degrees,
-                    run_sets,
-                    run_sizes,
-                    2 * m as u64,
-                    1.1,
-                    1.05,
-                    batch,
-                    &mut sink,
-                )
-                .expect("batched stream runs");
-                best = best.min(start.elapsed().as_secs_f64());
+                if engine == 0 {
+                    stream_h2h_serial(
+                        edges.iter().copied(),
+                        &degrees,
+                        run_sets,
+                        run_sizes,
+                        2 * m as u64,
+                        1.1,
+                        1.05,
+                        &mut sink,
+                    )
+                } else {
+                    stream_h2h(
+                        edges.iter().copied(),
+                        &degrees,
+                        run_sets,
+                        run_sizes,
+                        2 * m as u64,
+                        1.1,
+                        1.05,
+                        0,
+                        &mut sink,
+                    )
+                }
+                .expect("phase-2 stream runs");
+                *slot = slot.min(start.elapsed().as_secs_f64());
             }
-            let eps = m as f64 / best;
-            tp.row([
-                k.to_string(),
-                "batched".to_string(),
-                batch.to_string(),
-                format!("{eps:.0}"),
-                format!("{:.2}", eps / serial_eps),
-            ]);
         }
+        let [serial_eps, engine_eps] = best.map(|secs| m as f64 / secs);
+        tp.row([
+            k.to_string(),
+            format!("{serial_eps:.0}"),
+            format!("{engine_eps:.0}"),
+            format!("{:.2}", engine_eps / serial_eps),
+        ]);
     }
     println!();
     println!("Phase-2 streaming throughput ({m} h2h edges, n = {n}):");

@@ -1,6 +1,8 @@
-//! Dev-loop harness for the phase-2 streaming engines: same hub-skewed
-//! workload as the fig7 bench, best-of-N timing so the 1-CPU container's
-//! run-to-run noise doesn't swamp the comparison.
+//! Dev-loop harness for phase-2 streaming: the serial dense oracle against
+//! the replica-mask engine on the fig7 bench's hub-skewed workload,
+//! best-of-N timing so run-to-run noise doesn't swamp the comparison.
+//!
+//! `cargo run --release -p hep-bench --example stream_profile [edges] [reps]`
 
 use hep_core::{stream_h2h, stream_h2h_serial};
 use hep_ds::{DenseBitset, SplitMix64};
@@ -28,47 +30,44 @@ fn main() {
             sets[(v % k) as usize].set(v);
         }
         let sizes: Vec<u64> = (0..k as u64).map(|p| p * 11).collect();
-        let mut best_serial = f64::MAX;
+        let mut best = [f64::MAX; 2];
         for _ in 0..reps {
-            let mut sink = CountingSink::default();
-            let t = Instant::now();
-            stream_h2h_serial(
-                edges.iter().copied(),
-                &degrees,
-                sets.clone(),
-                sizes.clone(),
-                2 * m as u64,
-                1.1,
-                1.05,
-                &mut sink,
-            )
-            .unwrap();
-            best_serial = best_serial.min(t.elapsed().as_secs_f64());
-        }
-        let serial_eps = m as f64 / best_serial;
-        println!("k={k:3} serial        {serial_eps:>9.0} e/s");
-        for batch in [64usize, 1024] {
-            let mut best = f64::MAX;
-            for _ in 0..reps {
+            for (engine, slot) in best.iter_mut().enumerate() {
                 let (rs, rz) = (sets.clone(), sizes.clone());
                 let mut sink = CountingSink::default();
                 let t = Instant::now();
-                stream_h2h(
-                    edges.iter().copied(),
-                    &degrees,
-                    rs,
-                    rz,
-                    2 * m as u64,
-                    1.1,
-                    1.05,
-                    batch,
-                    &mut sink,
-                )
+                if engine == 0 {
+                    stream_h2h_serial(
+                        edges.iter().copied(),
+                        &degrees,
+                        rs,
+                        rz,
+                        2 * m as u64,
+                        1.1,
+                        1.05,
+                        &mut sink,
+                    )
+                } else {
+                    stream_h2h(
+                        edges.iter().copied(),
+                        &degrees,
+                        rs,
+                        rz,
+                        2 * m as u64,
+                        1.1,
+                        1.05,
+                        0,
+                        &mut sink,
+                    )
+                }
                 .unwrap();
-                best = best.min(t.elapsed().as_secs_f64());
+                *slot = slot.min(t.elapsed().as_secs_f64());
             }
-            let eps = m as f64 / best;
-            println!("k={k:3} batched {batch:>6} {eps:>9.0} e/s  {:.2}x", eps / serial_eps);
         }
+        let [serial_eps, engine_eps] = best.map(|secs| m as f64 / secs);
+        println!(
+            "k={k:3} serial {serial_eps:>9.0} e/s  engine {engine_eps:>9.0} e/s  {:.2}x",
+            engine_eps / serial_eps
+        );
     }
 }

@@ -58,15 +58,11 @@ pub struct HepConfig {
     /// Kept only for source compatibility: the input-order layout is the
     /// only one.
     pub csr_layout: CsrLayout,
-    /// Edges per phase-2 streaming batch: each batch is scored in parallel
-    /// against a frozen replica snapshot and committed serially (see
-    /// `hep-core::streaming`). Output is **bit-identical at every batch
-    /// size and thread count**; the knob only trades buffer memory for
-    /// scoring parallelism. `0` (the default) lets the planner size the
-    /// batch from the memory budget
-    /// ([`crate::planner::plan_stream_batch`]). Defaults to the
-    /// `HEP_STREAM_BATCH` environment variable when set (`0`/`auto` for
-    /// planner-sized).
+    /// Kept only for source compatibility; must be `0`. Phase 2 is one
+    /// serial loop that ignores any batch size; [`HepConfig::validate`]
+    /// rejects a non-zero value instead of silently ignoring it. The
+    /// planner's phase-2 charge sizes its own nominal batch with
+    /// [`crate::planner::plan_stream_batch`].
     pub stream_batch: usize,
 }
 
@@ -98,21 +94,6 @@ pub fn parse_byte_size(s: &str) -> Option<u64> {
     value.checked_mul(mult)
 }
 
-/// Ceiling on [`HepConfig::stream_batch`]: batches beyond 16 Mi edges buy
-/// no extra parallelism and make the per-batch buffers a memory liability.
-pub const MAX_STREAM_BATCH: usize = 1 << 24;
-
-/// `HEP_STREAM_BATCH` environment default, resolved once per process.
-/// `0` or `auto` (and unset) mean planner-sized.
-fn env_stream_batch() -> usize {
-    use std::sync::OnceLock;
-    static BATCH: OnceLock<usize> = OnceLock::new();
-    *BATCH.get_or_init(|| match env_registry::read("HEP_STREAM_BATCH").as_deref() {
-        Some("auto") | None => 0,
-        Some(v) => v.trim().parse::<usize>().unwrap_or(0),
-    })
-}
-
 /// `HEP_MEMORY_BUDGET` environment default, resolved once per process.
 fn env_memory_budget() -> Option<u64> {
     use std::sync::OnceLock;
@@ -136,7 +117,7 @@ impl Default for HepConfig {
             memory_budget_bytes: env_memory_budget(),
             io_mode: IoMode::from_env(),
             csr_layout: CsrLayout::InputOrder,
-            stream_batch: env_stream_batch(),
+            stream_batch: 0,
         }
     }
 }
@@ -179,9 +160,9 @@ impl HepConfig {
                 "memory_budget_bytes must be positive (use None for unbounded)".into(),
             ));
         }
-        if self.stream_batch > MAX_STREAM_BATCH {
+        if self.stream_batch != 0 {
             return Err(hep_graph::GraphError::InvalidConfig(format!(
-                "stream_batch must be in 0..={MAX_STREAM_BATCH} (0 = planner-sized), got {}",
+                "the batched phase-2 engine was removed: stream_batch must be 0, got {}",
                 self.stream_batch
             )));
         }
@@ -210,11 +191,9 @@ mod tests {
         assert!(HepConfig { split_factor: 4, ..Default::default() }.validate().is_err());
         assert!(HepConfig { parallel_nepp: true, ..Default::default() }.validate().is_err());
         assert!(HepConfig { refine_passes: 2, ..Default::default() }.validate().is_err());
-        assert!(HepConfig { stream_batch: MAX_STREAM_BATCH + 1, ..Default::default() }
-            .validate()
-            .is_err());
+        assert!(HepConfig { stream_batch: 1, ..Default::default() }.validate().is_err());
+        assert!(HepConfig { stream_batch: 4096, ..Default::default() }.validate().is_err());
         assert!(HepConfig { stream_batch: 0, ..Default::default() }.validate().is_ok());
-        assert!(HepConfig { stream_batch: 4096, ..Default::default() }.validate().is_ok());
         assert!(HepConfig::with_tau(1.0).validate().is_ok());
     }
 

@@ -52,8 +52,8 @@ impl Drop for TempFileGuard {
 /// ([`IoMode::Auto`] keeps the file's own setting, which defaults to the
 /// `HEP_IO_MODE` environment).
 ///
-/// `stream` extends the plan's peak accounting over phase 2: given the
-/// `(k, batch)` the driver will stream with, the planner charges
+/// `stream` extends the plan's peak accounting over phase 2: given `k` and
+/// the nominal batch from [`plan_stream_batch`], the planner charges
 /// [`estimate_stream_overhead_bytes`] alongside the resident arrays
 /// (ROADMAP: "the phase-2 replica sets are unbudgeted" — no longer). Pass
 /// `None` to plan ingestion alone, the pre-phase-2 behavior.
@@ -142,18 +142,6 @@ impl Hep {
         Hep { config: HepConfig::with_tau(tau) }
     }
 
-    /// The phase-2 batch size this run streams with: the configured
-    /// [`HepConfig::stream_batch`] when set, else planner-sized from the
-    /// memory budget. Output is bit-identical at every batch size; only
-    /// buffer memory and scoring parallelism change.
-    fn stream_batch_for(&self, k: u32) -> usize {
-        if self.config.stream_batch > 0 {
-            self.config.stream_batch
-        } else {
-            plan_stream_batch(k, self.config.memory_budget_bytes)
-        }
-    }
-
     /// Runs both phases and returns the detailed report.
     pub fn partition_with_report(
         &self,
@@ -219,7 +207,7 @@ impl Hep {
             self.config.tau,
             self.config.memory_budget_bytes,
             self.config.io_mode,
-            Some((k, self.stream_batch_for(k))),
+            Some((k, plan_stream_batch(k, self.config.memory_budget_bytes))),
             |e| {
                 let r = writer
                     .write_all(&e.src.to_le_bytes())
@@ -294,7 +282,7 @@ impl Hep {
             total_edges,
             self.config.lambda,
             self.config.alpha,
-            self.stream_batch_for(k),
+            0,
             sink,
         );
         if let Some(err) = read_err {

@@ -25,7 +25,7 @@ pub mod planner;
 pub mod simple_hybrid;
 pub mod streaming;
 
-pub use config::{parse_byte_size, CsrLayout, HepConfig, MAX_STREAM_BATCH};
+pub use config::{parse_byte_size, CsrLayout, HepConfig};
 pub use hep::{ingest_file_budgeted, Hep, HepRunReport, PhaseTimings};
 pub use nepp::{NeppResult, NeppStats};
 pub use planner::{
@@ -34,4 +34,4 @@ pub use planner::{
     INGEST_FIXED_OVERHEAD_BYTES, INGEST_SWEEP_GRID,
 };
 pub use simple_hybrid::SimpleHybrid;
-pub use streaming::{stream_h2h, stream_h2h_serial, stream_h2h_with_inspect};
+pub use streaming::{stream_h2h, stream_h2h_serial};

@@ -37,17 +37,17 @@ fn footprint_from_entries(column_entries: u64, n: u64, k: u32) -> u64 {
     column_entries * 4 + 6 * n * 4 + n * (k as u64 + 1) / 8
 }
 
-/// Default phase-2 batch when no memory budget constrains it: big enough
-/// to amortize the per-batch barrier, small enough that the worst-case
-/// shortlist buffers stay a few MiB at paper-scale k.
+/// Nominal phase-2 batch when no memory budget constrains it. The
+/// streaming engine ignores batch sizes; this value only feeds the phase-2
+/// charge of [`estimate_stream_overhead_bytes`].
 pub const DEFAULT_STREAM_BATCH: usize = 8192;
 
-/// Sizes the phase-2 streaming batch (`HepConfig::stream_batch = 0`) from
-/// the memory budget: the per-edge batch state — two ⌈k/64⌉-word candidate
-/// bitmasks plus 24 B of per-edge metadata and the 8 B buffered edge — is
-/// held to at most a quarter of the budget (clamped to [64 KiB, 8 MiB] of
-/// buffer, batch to [64, 65536] edges). Output is batch-invariant, so this
-/// is purely a memory/parallelism trade.
+/// The nominal phase-2 batch behind the planner's phase-2 charge: a
+/// quarter of the budget (clamped to [64 KiB, 8 MiB]) divided by
+/// `stream_batch_bytes_per_edge`, clamped to [64, 65536] edges. The
+/// streaming engine ignores it; the planner charge and the callers that
+/// rebuild the library's plan keep calling this with the same arguments,
+/// so the charged bytes stay what they were when phase 2 ran in batches.
 pub fn plan_stream_batch(k: u32, memory_budget_bytes: Option<u64>) -> usize {
     let Some(budget) = memory_budget_bytes else {
         return DEFAULT_STREAM_BATCH;
@@ -57,42 +57,38 @@ pub fn plan_stream_batch(k: u32, memory_budget_bytes: Option<u64>) -> usize {
     ((target / per_edge) as usize).clamp(64, 65536)
 }
 
-/// Heap bytes one buffered edge contributes to a batch: the edge itself
-/// (8), the scoring metadata (two f64 partial scores and flags: 24), up
-/// to two 4 B first-sighting list entries, and — worst case, when every
-/// endpoint of the batch is distinct — two ⌈k/64⌉-word candidate bitmasks
-/// in the per-vertex mask cache.
+/// Reserve bytes charged per nominal batch edge: 8 for the edge, 24 of
+/// per-edge metadata, 8 of list entries and two ⌈k/64⌉-word masks — the
+/// per-edge state of the former batched engine.
 fn stream_batch_bytes_per_edge(k: u32) -> u64 {
     8 + 24 + 8 + 16 * (k.max(1) as u64).div_ceil(64)
 }
 
 /// Upper bound on the phase-2 streaming engine's working state beyond the
 /// seed sets it consumes (`tests/ingest_memory.rs` pins measured peak ≤
-/// this estimate):
+/// this estimate). Three terms cover the engine:
 ///
-/// * the **sparse replica index**: per-vertex sorted partition rows of
-///   capacity `min(k, seeds(v) + min(d(v), k))`, 4 B per entry plus 12 B per
-///   vertex of row bookkeeping. Streaming replicates `v` on at most one new
-///   partition per incident h2h edge, bounding post-seed growth by
-///   `min(d(v), k)`. Seed membership is bounded by `2·min(d(v), k) + 1`:
-///   every secondary-set admission is charged to an in-memory edge incident
-///   to `v` assigned at that moment (the scanning partition, plus at most
-///   one spill target per edge), except a single possible dead-seed entry
-///   (the seed cursor never revisits a vertex). The estimator therefore
-///   charges `min(k, 3·min(d(v), k) + 1)` per row, so this
-///   **saturates in k**;
-/// * the per-vertex engine state: a 16 B record (batch-conflict stamp +
-///   live-mask arena slot) per vertex and the shared-endpoint bitset;
-/// * the **live mask arena**: one ⌈k/64⌉-word candidate bitmask per
-///   vertex the stream has touched — lazily grown, so the worst case
-///   charged here (every vertex streamed) transposes the dense replica
-///   sets' footprint, while the actual cost tracks the touched set;
-/// * the load tracker: the load vector plus its ordered `(load, part)` set;
-/// * the batch buffers at the planned batch size
-///   ([`stream_batch_bytes_per_edge`] per edge, worst case);
-/// * the final dense export: the k replica bitsets
-///   [`hep_baselines::scoring::SparseReplicas::to_dense`] materializes for
-///   the finish/metrics consumers while the index is still live.
+/// * `arena` — the vertex-major **replica-mask matrix**, ⌈k/64⌉ words per
+///   vertex, transposed from the seed sets (each set is dropped as soon as
+///   its bits are moved);
+/// * `tracker` — the load vector plus its ordered `(load, part)` array;
+/// * `dense_export` — the k replica bitsets rebuilt at the end for
+///   [`hep_baselines::scoring::ReplicaState`] while the matrix is still
+///   live.
+///
+/// The remaining terms are a **reserve** kept at the values the former
+/// batched engine needed, so the charge — and with it every budgeted plan
+/// — is unchanged:
+///
+/// * `index` — `12·|V| + 8` bytes plus 4 B for each of the
+///   `min(k, 3·min(d(v), k) + 1)` entries per vertex, saturating in k;
+/// * `conflict` — 16 B per vertex plus a |V|-bit bitset;
+/// * `buffers` — the nominal batch at `stream_batch_bytes_per_edge`;
+/// * `scratch` — 16 B per partition.
+///
+/// A charge fitted to the serial engine alone would let
+/// [`plan_ingest`] keep a larger τ under tight budgets, trading replication
+/// factor for peak heap; that is a planner change of its own.
 pub fn estimate_stream_overhead_bytes(degrees: &[u32], k: u32, batch: usize) -> u64 {
     let n = degrees.len() as u64;
     let k64 = k.max(1) as u64;
@@ -175,8 +171,7 @@ pub fn ingest_peak_bytes(n: u64, column_entries: u64, sweeps: usize) -> u64 {
 /// arrays after the build, so the charged peak per candidate plan is
 /// `max(ingest peak, resident + phase2)`. Pass `0` to plan ingestion
 /// alone (the pre-phase-2 behavior). Sweeps and τ cannot shrink the
-/// phase-2 term — only the batch size can, which is why callers size the
-/// batch via [`plan_stream_batch`] *before* planning.
+/// phase-2 term; its nominal batch comes from [`plan_stream_batch`].
 pub fn plan_ingest(
     degrees: &[u32],
     mean_degree: f64,

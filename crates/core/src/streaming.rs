@@ -6,44 +6,22 @@
 //! NE++'s secondary set `S_i`, partition loads start at the in-memory phase's
 //! sizes, and vertex degrees are exact (from the degree pass) rather than
 //! streamed partial counts. This removes the "uninformed assignment problem"
-//! [47] for the early edges of the stream.
+//! \[47\] for the early edges of the stream.
 //!
-//! # The batched engine
+//! # The engine
 //!
-//! [`stream_h2h`] is a batched reformulation of the serial HDRF loop that is
-//! **bit-identical to [`stream_h2h_serial`] at any thread count and any
-//! batch size** (the repo invariant). Three layers (DESIGN.md §7 carries the
-//! full proof sketch):
+//! [`stream_h2h`] is one serial in-order loop that is **bit-identical to
+//! [`stream_h2h_serial`]** (DESIGN.md §7 carries the proof sketch). It
+//! differs from the dense reference in two data-structure choices, not in
+//! the order of anything:
 //!
-//! 1. **Sparse replica index** — [`SparseReplicas`] keeps a sorted
-//!    per-vertex row of the partitions replicating it (capacity
-//!    `min(degree, k)`), so scoring an edge touches only `r(u) ∪ r(v)` plus
-//!    one zero-replica candidate instead of all k dense bitsets. The k
-//!    `DenseBitset`s are consumed into the index up front and rebuilt once at
-//!    the end — phase 2 no longer holds k×|V| bits live for the whole
-//!    stream.
-//! 2. **Frozen-snapshot batches over a live mask arena** — each vertex the
-//!    stream touches gets a ⌈k/64⌉-word candidate *bitmask* (its replica
-//!    row re-encoded as set bits), built **once per stream** at first
-//!    sighting and kept in lockstep with the index by one word-OR per
-//!    commit. Edges are read in bounded batches and scored in parallel
-//!    chunks against the index as it stood at the batch boundary: one
-//!    pass freezes the masks of the batch's **distinct** endpoints (a
-//!    plain arena copy — no row walk) and one pass computes the
-//!    degree-derived partial scores `g(u), g(v)`. The commit loop then
-//!    walks the batch serially in input order, re-scoring each edge over
-//!    its endpoints' frozen masks with *live* loads — membership classes
-//!    are two AND/NOT word operations, membership tests one bit probe,
-//!    and a set mask bit proves a row insert would be a no-op, skipping
-//!    the index probe entirely. A frozen mask can only go stale if an
-//!    earlier edge of the same batch touched one of the endpoints; such
-//!    edges are detected up front (both endpoints of every batch edge
-//!    are epoch-stamped; second sightings land in a bitset probed
-//!    through the [`hep_ds::kernels`] `count_members` dispatch, resolved
-//!    once per stream) and fall back to re-masking from the live index. A
-//!    `debug_assertions` cross-check re-derives every commit decision
-//!    with a serial-style full k-scan.
-//! 3. **O(candidates) balance argmax** — a [`LoadTracker`] keeps
+//! 1. **Vertex-major replica masks** — the k per-partition seed sets are
+//!    transposed once into an `n × ⌈k/64⌉`-word matrix, so an endpoint's
+//!    replica row is one or two adjacent cache lines instead of k probes
+//!    into k separate bitsets. Each seed set is dropped as soon as its bits
+//!    are moved, and the k dense sets are rebuilt once at the end for
+//!    [`ReplicaState`].
+//! 2. **O(candidates) balance argmax** — a `LoadTracker` keeps
 //!    `(load, part)` pairs in a sorted array with a position index (loads
 //!    only move by +1, so reordering is one binary search plus a short
 //!    rotate — no tree nodes, no per-edge allocation). The best
@@ -56,10 +34,11 @@
 //!    per-membership-class `(load, id)` minima — integer comparisons —
 //!    and a domination rule (`g ≥ 1`, so the both-replicated class beats
 //!    every class collected after it) usually ends the ordered walk at
-//!    its first entry. A commit evaluates at most four floating-point
-//!    scores however many candidates there are ([`pick_partition`]'s
+//!    its first entry. An edge evaluates at most four floating-point
+//!    scores however many candidates there are (`pick_partition`'s
 //!    fast path; an exact serial-order scan takes over on pathological
-//!    load spreads).
+//!    load spreads). A `debug_assertions` cross-check re-derives every
+//!    decision with a serial-style full k-scan.
 //!
 //! Edge endpoints are validated against the degree table: an h2h edge
 //! referencing a vertex id ≥ `degrees.len()` — a corrupt or truncated
@@ -67,56 +46,11 @@
 //! its own degree pass — returns the same typed
 //! [`GraphError::VertexOutOfRange`] every other ingestion layer reports.
 //! The partial assignment already emitted to the sink before the bad edge
-//! (including any earlier edges of the same batch) is the caller's to
-//! discard, exactly as in the serial stream.
+//! is the caller's to discard, exactly as in the serial stream.
 
-use hep_baselines::scoring::{capacity, ReplicaState, SparseReplicas, BAL_EPSILON};
-use hep_ds::kernels::{self, Kernel};
+use hep_baselines::scoring::{capacity, ReplicaState, BAL_EPSILON};
 use hep_ds::DenseBitset;
 use hep_graph::{AssignSink, Edge, GraphError, PartitionId};
-
-/// Fixed chunk size of the parallel batch-scoring pass. A constant (not
-/// derived from the thread count) so the chunk decomposition — and with it
-/// every per-chunk allocation pattern — is identical at any `HEP_THREADS`.
-const SCORE_CHUNK: usize = 1024;
-
-/// Edge flag: an endpoint is ≥ the vertex count (typed error at commit).
-const FLAG_INVALID: u32 = 1;
-/// Edge flag: an endpoint appears more than once in this batch, so the
-/// frozen masks may be stale — commit re-masks from the live index.
-const FLAG_SHARED: u32 = 2;
-
-/// Per-edge scoring result from the parallel pass.
-#[derive(Clone, Copy, Default)]
-struct EdgeScore {
-    /// HDRF replication rewards `g(u) = 1 + (1 − θ(u))`, `g(v)` likewise —
-    /// degree-derived, so valid regardless of batch conflicts.
-    g_u: f64,
-    g_v: f64,
-    flags: u32,
-}
-
-/// Sentinel arena slot: the vertex has not yet appeared in the stream.
-const NO_SLOT: u32 = u32::MAX;
-
-/// Per-vertex engine state, kept in one record so an endpoint lookup is a
-/// single cache-line fetch: the batch conflict stamp (epoch in the low
-/// word, the vertex's first-sighting slot in the high word) and the
-/// vertex's slot in the live mask arena ([`NO_SLOT`] until first touched).
-#[derive(Clone, Copy)]
-struct VertexState {
-    stamp: u64,
-    mslot: u32,
-}
-
-/// Re-encodes a sorted replica row as set bits (`part p` → word `p/64`,
-/// bit `p%64`). `mask` must be zeroed and cover `k` bits.
-#[inline]
-fn row_to_mask(row: &[u32], mask: &mut [u64]) {
-    for &p in row {
-        mask[(p >> 6) as usize] |= 1u64 << (p & 63);
-    }
-}
 
 /// Partition loads with an ordered view: `by_load` holds `(load, part)`
 /// pairs sorted ascending, so the global minimum (and the least-loaded
@@ -358,51 +292,25 @@ fn pick_serial_order(
     best.expect("min_load < cap guarantees an under-cap candidate").1
 }
 
-/// Parallel scoring of one chunk against the frozen snapshot: the
-/// degree-derived partial scores plus the validity/conflict flags. The
-/// candidate masks themselves live in the batch's per-*vertex* cache (built
-/// once per distinct endpoint, not once per edge), so this pass touches
-/// only the degree table and the conflict bitset. `kern` is the membership
-/// kernel, resolved once per stream so the per-edge conflict probe skips
-/// the runtime dispatch; `shared` is `None` when the batch stamped no
-/// duplicate endpoint (the probe would test an all-zero bitset).
-fn score_chunk(
-    edges: &[Edge],
-    shared: Option<&DenseBitset>,
-    degrees: &[u32],
-    n: u32,
-    kern: Kernel,
-    out: &mut [EdgeScore],
-) {
-    for (e, slot) in edges.iter().zip(out) {
-        if e.src.max(e.dst) >= n {
-            *slot = EdgeScore { g_u: 0.0, g_v: 0.0, flags: FLAG_INVALID };
-            continue;
-        }
-        let deg_u = degrees[e.src as usize] as u64;
-        let deg_v = degrees[e.dst as usize] as u64;
-        // θ normalized degrees; HDRF guards δ(u)+δ(v) > 0.
-        let dsum = (deg_u + deg_v).max(1) as f64;
-        let g_u = 1.0 + (1.0 - deg_u as f64 / dsum);
-        let g_v = 1.0 + (1.0 - deg_v as f64 / dsum);
-        let flags = if shared
-            .is_some_and(|s| kernels::count_members_with(kern, s.words(), &[e.src, e.dst]) != 0)
-        {
-            FLAG_SHARED
-        } else {
-            0
-        };
-        *slot = EdgeScore { g_u, g_v, flags };
-    }
+/// HDRF replication rewards `g(u) = 1 + (1 − θ(u))` and `g(v)` likewise,
+/// with θ the normalized degree — computed in the operation order of
+/// [`ReplicaState::best_partition`], so the scores are bitwise the serial
+/// ones.
+#[inline]
+fn rewards(deg_u: u64, deg_v: u64) -> (f64, f64) {
+    // HDRF guards δ(u)+δ(v) > 0.
+    let dsum = (deg_u + deg_v).max(1) as f64;
+    (1.0 + (1.0 - deg_u as f64 / dsum), 1.0 + (1.0 - deg_v as f64 / dsum))
 }
 
-/// Re-derives a commit decision with a serial-style full k-scan over the
-/// live sparse index — the debug enforcement of the shortlist-sufficiency
-/// proof obligation (DESIGN.md §7). Compiled out of release builds.
+/// Re-derives a decision with a serial-style full k-scan over the live
+/// mask rows — the debug enforcement of the argmax bit-identity argument
+/// (DESIGN.md §7). Compiled out of release builds.
 #[cfg(debug_assertions)]
 #[allow(clippy::too_many_arguments)]
 fn debug_check_full_scan(
-    index: &SparseReplicas,
+    mask_u: &[u64],
+    mask_v: &[u64],
     tracker: &LoadTracker,
     e: Edge,
     g_u: f64,
@@ -411,22 +319,24 @@ fn debug_check_full_scan(
     cap: u64,
     chosen: PartitionId,
 ) {
-    // hep-lint: allow(HL007) -- check_inputs rejects k == 0, so loads is non-empty
+    let k = tracker.loads.len() as u32;
+    let bit = |mask: &[u64], p: u32| mask[(p >> 6) as usize] >> (p & 63) & 1 != 0;
+    // hep-lint: allow(HL007) -- stream_h2h rejects k == 0, so loads is non-empty
     let min_load = tracker.loads.iter().copied().min().expect("k >= 1");
-    // hep-lint: allow(HL007) -- check_inputs rejects k == 0, so loads is non-empty
+    // hep-lint: allow(HL007) -- stream_h2h rejects k == 0, so loads is non-empty
     let max_load = tracker.loads.iter().copied().max().expect("k >= 1");
     let denom = BAL_EPSILON + (max_load - min_load) as f64;
     let mut best: Option<(f64, u32)> = None;
-    for p in 0..index.k() {
+    for p in 0..k {
         let l = tracker.loads[p as usize];
         if l >= cap {
             continue;
         }
         let mut c_rep = 0.0;
-        if index.is_replicated(e.src, p) {
+        if bit(mask_u, p) {
             c_rep += g_u;
         }
-        if index.is_replicated(e.dst, p) {
+        if bit(mask_v, p) {
             c_rep += g_v;
         }
         let score = c_rep + lambda * (max_load - l) as f64 / denom;
@@ -436,22 +346,22 @@ fn debug_check_full_scan(
     }
     let want = match best {
         Some((_, p)) => p,
-        // hep-lint: allow(HL007) -- check_inputs rejects k == 0, so the range is non-empty
-        None => (0..index.k()).min_by_key(|&p| tracker.loads[p as usize]).expect("k >= 1"),
+        // hep-lint: allow(HL007) -- stream_h2h rejects k == 0, so the range is non-empty
+        None => (0..k).min_by_key(|&p| tracker.loads[p as usize]).expect("k >= 1"),
     };
-    assert_eq!(chosen, want, "shortlist missed the serial argmax for edge ({}, {})", e.src, e.dst);
+    assert_eq!(chosen, want, "argmax missed the serial choice for edge ({}, {})", e.src, e.dst);
 }
 
 /// Streams `h2h` edges into partitions, starting from the in-memory phase's
 /// state. `total_edges` is `|E|` (the balance constraint of Algorithm 4 is
 /// over the whole edge set, not just the streamed part). The edge source is
 /// an iterator so the externalized edge file never has to be materialized.
+/// Every seed set must cover `degrees.len()` vertices.
 ///
-/// `batch` bounds how many edges are buffered, scored in parallel against a
-/// frozen snapshot, and committed per round (`HEP_STREAM_BATCH`; callers
-/// normally size it via `planner::plan_stream_batch`). Output is
-/// bit-identical to [`stream_h2h_serial`] for every `batch ≥ 1` and every
-/// thread count — see the module docs and DESIGN.md §7.
+/// `batch` is ignored: the engine is one serial loop. The parameter stays
+/// so callers that size it with `planner::plan_stream_batch` for the
+/// planner's phase-2 charge keep compiling. Output is bit-identical to
+/// [`stream_h2h_serial`] — see the module docs and DESIGN.md §7.
 #[allow(clippy::too_many_arguments)]
 pub fn stream_h2h<S: AssignSink + ?Sized>(
     h2h: impl IntoIterator<Item = Edge>,
@@ -461,226 +371,68 @@ pub fn stream_h2h<S: AssignSink + ?Sized>(
     total_edges: u64,
     lambda: f64,
     alpha: f64,
-    batch: usize,
+    _batch: usize,
     sink: &mut S,
-) -> Result<ReplicaState, GraphError> {
-    stream_h2h_with_inspect(
-        h2h,
-        degrees,
-        s_sets,
-        ne_sizes,
-        total_edges,
-        lambda,
-        alpha,
-        batch,
-        sink,
-        &mut |_, _| {},
-    )
-}
-
-/// [`stream_h2h`] with a per-batch probe: after each committed batch,
-/// `on_batch` receives the live sparse replica index and the partition
-/// loads. Test-battery hook (the "sparse agrees with dense after every
-/// batch" property); the engine itself never reads the probe.
-#[allow(clippy::too_many_arguments)]
-pub fn stream_h2h_with_inspect<S: AssignSink + ?Sized>(
-    h2h: impl IntoIterator<Item = Edge>,
-    degrees: &[u32],
-    s_sets: Vec<DenseBitset>,
-    ne_sizes: Vec<u64>,
-    total_edges: u64,
-    lambda: f64,
-    alpha: f64,
-    batch: usize,
-    sink: &mut S,
-    on_batch: &mut dyn FnMut(&SparseReplicas, &[u64]),
 ) -> Result<ReplicaState, GraphError> {
     assert_eq!(s_sets.len(), ne_sizes.len(), "one replica set per partition");
     assert!(!s_sets.is_empty(), "need k >= 1");
+    assert!(
+        s_sets.iter().all(|s| s.capacity() == degrees.len()),
+        "every seed set covers the degree table's vertices"
+    );
     let k = s_sets.len() as u32;
     let cap = capacity(total_edges, k, alpha);
     let n = degrees.len() as u32;
-    let batch = batch.max(1);
-
-    // Consume the dense seed sets into the sparse index immediately: the
-    // serial stream used to clone-and-hold all k DenseBitsets (k×|V| bits)
-    // for the whole stream; the index costs Σ min(δ(v), k) entries instead.
-    let mut index = SparseReplicas::from_seed_sets(&s_sets, degrees);
-    drop(s_sets);
-    let mut tracker = LoadTracker::new(ne_sizes);
-
-    // Per-vertex stream state, one cache-line-friendly record per vertex:
-    // the batch conflict stamp — epoch in the low word, the vertex's slot
-    // in the batch's first-sighting order in the high word — and the
-    // vertex's live-mask arena slot. A second sighting within a batch
-    // (stamp epoch matches) marks the vertex shared. Cleanup is O(batch)
-    // (only touched bits are cleared), so small batches stay cheap.
-    let mut vstate: Vec<VertexState> =
-        vec![VertexState { stamp: 0, mslot: NO_SLOT }; degrees.len()];
-    let mut epoch: u32 = 0;
-    let mut shared = DenseBitset::new(degrees.len());
-
-    let mut iter = h2h.into_iter();
-    let mut buf: Vec<Edge> = Vec::with_capacity(batch.min(1 << 20));
-    let mut scores: Vec<EdgeScore> = Vec::with_capacity(batch.min(1 << 20));
-    // Candidate-mask geometry and the membership kernel, fixed per stream.
     let wpm = (k as usize).div_ceil(64);
-    let kern = kernels::active();
-    // The per-batch frozen mask cache: one ⌈k/64⌉-word candidate mask per
-    // *distinct* endpoint (`fresh` lists them in first-sighting order),
-    // copied at the batch boundary from the live mask arena below.
-    let mut fresh: Vec<u32> = Vec::with_capacity(2 * batch.min(1 << 20));
-    let mut mask_cache: Vec<u64> = Vec::new();
-    // Live candidate masks for every vertex the stream has touched: a
-    // vertex's sparse row is encoded into mask form *once per stream* (at
-    // its first sighting) and kept current with one word-OR per commit —
-    // so freezing a batch snapshot is a plain copy instead of a row walk.
-    // The arena holds ⌈k/64⌉ words (k bits) per touched vertex; a touched
-    // row holds min(δ(v), k) u32 entries, so for any h2h endpoint with
-    // two or more replicas the mask is no larger than the row it mirrors.
-    let mut arena: Vec<u64> = Vec::new();
-    // Re-masking buffer for conflict-flagged edges (u words, then v words).
-    let mut scratch: Vec<u64> = vec![0; 2 * wpm];
 
-    loop {
-        buf.clear();
-        buf.extend(iter.by_ref().take(batch));
-        if buf.is_empty() {
-            break;
-        }
-        epoch = epoch.wrapping_add(1);
-        if epoch == 0 {
-            // Epoch wrapped: stamps from 2^32 batches ago could alias.
-            for v in &mut vstate {
-                v.stamp = 0;
-            }
-            epoch = 1;
-        }
-        let mut any_shared = false;
-        fresh.clear();
-        for e in &buf {
-            for x in [e.src, e.dst] {
-                if x < n {
-                    let vs = vstate[x as usize];
-                    if vs.stamp as u32 == epoch {
-                        shared.set(x);
-                        any_shared = true;
-                    } else {
-                        vstate[x as usize].stamp = u64::from(epoch) | ((fresh.len() as u64) << 32);
-                        fresh.push(x);
-                        if vs.mslot == NO_SLOT {
-                            // First sighting in the whole stream: encode
-                            // the row into its live mask once.
-                            vstate[x as usize].mslot = (arena.len() / wpm) as u32;
-                            arena.resize(arena.len() + wpm, 0);
-                            let a = arena.len() - wpm;
-                            row_to_mask(index.parts_of(x), &mut arena[a..]);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Parallel pass 1: freeze each distinct endpoint's candidate mask
-        // from the index as it stands at the batch boundary. Slots are
-        // disjoint fixed-stride sub-slices, so chunks write in place.
-        mask_cache.resize(fresh.len() * wpm, 0);
-        {
-            let arena_ref = &arena;
-            let vstate_ref = &vstate;
-            let fresh_ref = &fresh;
-            hep_par::par_chunks_mut(&mut mask_cache, SCORE_CHUNK * wpm, |ci, out| {
-                let base = ci * SCORE_CHUNK;
-                for (t, slot) in out.chunks_mut(wpm).enumerate() {
-                    let a = vstate_ref[fresh_ref[base + t] as usize].mslot as usize * wpm;
-                    slot.copy_from_slice(&arena_ref[a..a + wpm]);
-                }
-            });
-        }
-
-        // Parallel pass 2: per-edge partial scores and flags into the
-        // reusable flat buffer (chunks are disjoint fixed-stride slices).
-        // A batch with all-distinct endpoints skips the conflict probes
-        // outright — the shared bitset is known all-zero.
-        scores.resize(buf.len(), EdgeScore::default());
-        {
-            let shared_ref = if any_shared { Some(&shared) } else { None };
-            let buf_ref = &buf;
-            hep_par::par_chunks_mut(&mut scores, SCORE_CHUNK, |ci, out| {
-                let base = ci * SCORE_CHUNK;
-                score_chunk(&buf_ref[base..base + out.len()], shared_ref, degrees, n, kern, out);
-            });
-        }
-
-        // Serial pass: commit in input order with live loads.
-        let mut committed = Ok(());
-        for (&e, m) in buf.iter().zip(&scores) {
-            if m.flags & FLAG_INVALID != 0 {
-                committed =
-                    Err(GraphError::VertexOutOfRange { vertex: e.src.max(e.dst), num_vertices: n });
-                break;
-            }
-            let (vu, vv) = (vstate[e.src as usize], vstate[e.dst as usize]);
-            let (mask_u, mask_v) = if m.flags & FLAG_SHARED != 0 {
-                // An earlier edge of this batch touched an endpoint:
-                // the frozen masks may be stale — re-mask from the
-                // live index.
-                scratch.fill(0);
-                let (mu, mv) = scratch.split_at_mut(wpm);
-                row_to_mask(index.parts_of(e.src), mu);
-                row_to_mask(index.parts_of(e.dst), mv);
-                scratch.split_at(wpm)
-            } else {
-                // Frozen masks via the endpoints' stamp slots — valid
-                // because no earlier edge of this batch touched them.
-                let su = (vu.stamp >> 32) as usize;
-                let sv = (vv.stamp >> 32) as usize;
-                (&mask_cache[su * wpm..(su + 1) * wpm], &mask_cache[sv * wpm..(sv + 1) * wpm])
-            };
-            let p = pick_partition(mask_u, mask_v, &tracker, m.g_u, m.g_v, lambda, cap);
-            #[cfg(debug_assertions)]
-            debug_check_full_scan(&index, &tracker, e, m.g_u, m.g_v, lambda, cap, p);
-            // The live masks mirror the index rows exactly, so a set
-            // bit proves the endpoint is already replicated on `p` and
-            // the row insert can be skipped without touching the index.
-            let (w, bit) = ((p >> 6) as usize, 1u64 << (p & 63));
-            let au = vu.mslot as usize * wpm + w;
-            let av = vv.mslot as usize * wpm + w;
-            if arena[au] & bit == 0 {
-                index.add_replica(e.src, p);
-                arena[au] |= bit;
-            }
-            if arena[av] & bit == 0 {
-                index.add_replica(e.dst, p);
-                arena[av] |= bit;
-            }
-            tracker.increment(p);
-            sink.assign(e.src, e.dst, p);
-        }
-        // O(batch) cleanup of the shared bits regardless of outcome.
-        if any_shared {
-            for e in &buf {
-                if e.src < n {
-                    shared.clear(e.src);
-                }
-                if e.dst < n {
-                    shared.clear(e.dst);
-                }
-            }
-        }
-        committed?;
-        on_batch(&index, &tracker.loads);
-        if buf.len() < batch {
-            break; // iterator exhausted
+    // Transpose the seed sets into vertex-major rows, dropping each set as
+    // soon as its bits are moved: the transient stays within twice the
+    // seed sets' footprint.
+    let mut masks = vec![0u64; degrees.len() * wpm];
+    for (p, set) in s_sets.into_iter().enumerate() {
+        let (w, bit) = (p >> 6, 1u64 << (p & 63));
+        for v in set.iter_ones() {
+            masks[v as usize * wpm + w] |= bit;
         }
     }
-    Ok(ReplicaState::from_parts(index.to_dense(), tracker.loads))
+    let mut tracker = LoadTracker::new(ne_sizes);
+
+    for e in h2h {
+        let max = e.src.max(e.dst);
+        if max >= n {
+            return Err(GraphError::VertexOutOfRange { vertex: max, num_vertices: n });
+        }
+        let (g_u, g_v) = rewards(degrees[e.src as usize] as u64, degrees[e.dst as usize] as u64);
+        let (ru, rv) = (e.src as usize * wpm, e.dst as usize * wpm);
+        let (mask_u, mask_v) = (&masks[ru..ru + wpm], &masks[rv..rv + wpm]);
+        let p = pick_partition(mask_u, mask_v, &tracker, g_u, g_v, lambda, cap);
+        #[cfg(debug_assertions)]
+        debug_check_full_scan(mask_u, mask_v, &tracker, e, g_u, g_v, lambda, cap, p);
+        let (w, bit) = ((p >> 6) as usize, 1u64 << (p & 63));
+        // hep-lint: allow(HL011) -- pick_partition returns a part id < k, so w < wpm and both writes stay inside the endpoints' rows
+        masks[ru + w] |= bit;
+        masks[rv + w] |= bit;
+        tracker.increment(p);
+        sink.assign(e.src, e.dst, p);
+    }
+
+    // Rebuild the k dense sets once for ReplicaState's consumers.
+    let mut sets: Vec<DenseBitset> = (0..k).map(|_| DenseBitset::new(degrees.len())).collect();
+    for (v, row) in masks.chunks_exact(wpm).enumerate() {
+        for (w, &word) in row.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                sets[w * 64 + bits.trailing_zeros() as usize].set(v as u32);
+                bits &= bits - 1;
+            }
+        }
+    }
+    Ok(ReplicaState::from_parts(sets, tracker.loads))
 }
 
 /// The reference serial stream: one dense O(k) HDRF scan per edge over
-/// [`ReplicaState`], exactly as phase 2 ran before the batched engine. Kept
-/// as the bit-identity oracle for the determinism battery and the serial
-/// baseline of the phase-2 throughput bench.
+/// [`ReplicaState`]. Kept as the bit-identity oracle of [`stream_h2h`]'s
+/// tests and the serial baseline of the phase-2 throughput bench.
 #[allow(clippy::too_many_arguments)]
 pub fn stream_h2h_serial<S: AssignSink + ?Sized>(
     h2h: impl IntoIterator<Item = Edge>,
@@ -719,6 +471,7 @@ pub fn stream_h2h_serial<S: AssignSink + ?Sized>(
 mod tests {
     use super::*;
     use hep_graph::partitioner::CollectedAssignment;
+    use proptest::prelude::*;
 
     fn empty_state(k: u32, n: u32) -> (Vec<DenseBitset>, Vec<u64>) {
         ((0..k).map(|_| DenseBitset::new(n as usize)).collect(), vec![0; k as usize])
@@ -815,125 +568,93 @@ mod tests {
         assert_eq!(sink.assignments.len(), 1);
     }
 
-    /// A deterministic hub-heavy h2h workload with duplicate endpoints in
-    /// close proximity (stresses the in-batch conflict fallback).
-    fn synth_stream(n: u32, m: usize, seed: u64) -> (Vec<Edge>, Vec<u32>) {
-        let mut rng = hep_ds::SplitMix64::new(seed);
-        let mut edges = Vec::with_capacity(m);
-        let mut degrees = vec![0u32; n as usize];
-        for _ in 0..m {
-            // Square the draw toward low ids: hub vertices recur constantly.
-            let a = (rng.next_below(n as u64) * rng.next_below(n as u64) / n as u64) as u32;
-            let b = rng.next_below(n as u64) as u32;
-            edges.push(Edge::new(a, b));
-            degrees[a as usize] += 1;
-            degrees[b as usize] += 1;
-        }
-        (edges, degrees)
-    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
 
-    #[test]
-    fn batched_engine_matches_serial_at_every_batch_size() {
-        let (edges, degrees) = synth_stream(200, 3_000, 7);
-        let k = 8;
-        let mut seed_sets: Vec<DenseBitset> =
-            (0..k).map(|_| DenseBitset::new(degrees.len())).collect();
-        let mut sizes = vec![0u64; k as usize];
-        // Seed a few replicas + uneven loads, like NE++ would.
-        for v in 0..40u32 {
-            seed_sets[(v % k) as usize].set(v);
-        }
-        for (p, s) in sizes.iter_mut().enumerate() {
-            *s = (p as u64) * 37;
-        }
-        let mut serial_sink = CollectedAssignment::default();
-        let serial = stream_h2h_serial(
-            edges.iter().copied(),
-            &degrees,
-            seed_sets.clone(),
-            sizes.clone(),
-            6_000,
-            1.1,
-            1.05,
-            &mut serial_sink,
-        )
-        .unwrap();
-        for batch in [1usize, 7, 64, 4096, 1 << 20] {
-            let mut sink = CollectedAssignment::default();
-            let state = stream_h2h(
+        /// The engine's contract: the assignment sequence, final loads and
+        /// every replica-set word equal [`stream_h2h_serial`]'s. `k` spans
+        /// one-word, full-word and multi-word mask rows; NE++-like seeded
+        /// replicas (some vertices on two parts) and uneven loads start the
+        /// stream. `tight` sizes the cap so the all-at-cap fallback takes
+        /// over mid-stream; `bad_at < m` plants an out-of-range edge there,
+        /// which must surface as the typed error after exactly the valid
+        /// prefix.
+        #[test]
+        fn engine_matches_serial_bitwise(
+            seed in 0u64..1000,
+            k in prop_oneof![Just(2u32), Just(63), Just(64), Just(65), Just(128), Just(200)],
+            tight in 0u32..2,
+            bad_at in 0usize..4_000,
+        ) {
+            let n = 300u32;
+            let m = 2_000usize;
+            let mut rng = hep_ds::SplitMix64::new(seed);
+            let mut edges = Vec::with_capacity(m + 1);
+            let mut degrees = vec![0u32; n as usize];
+            for _ in 0..m {
+                // Square one draw toward low ids: hub rows recur constantly.
+                let a = (rng.next_below(n as u64) * rng.next_below(n as u64) / n as u64) as u32;
+                let b = rng.next_below(n as u64) as u32;
+                edges.push(Edge::new(a, b));
+                degrees[a as usize] += 1;
+                degrees[b as usize] += 1;
+            }
+            if bad_at < m {
+                edges.insert(bad_at, Edge::new(rng.next_below(n as u64) as u32, n + 3));
+            }
+            let mut sets: Vec<DenseBitset> = (0..k).map(|_| DenseBitset::new(n as usize)).collect();
+            for v in 0..90u32 {
+                sets[(v % k) as usize].set(v);
+                sets[((v * 31 + 5) % k) as usize].set(v);
+            }
+            let sizes: Vec<u64> = (0..k as u64).map(|p| p * 29 % 97).collect();
+            let (total, alpha) = if tight == 1 { (m as u64 / 2, 1.0) } else { (4 * m as u64, 1.05) };
+            if tight == 1 {
+                // The room under the cap is smaller than the stream, so the
+                // fallback must place the remainder.
+                let cap = capacity(total, k, alpha);
+                let room: u64 = sizes.iter().map(|&s| cap.saturating_sub(s)).sum();
+                prop_assert!(room < m as u64, "room {} leaves the fallback unexercised", room);
+            }
+            let mut serial_sink = CollectedAssignment::default();
+            let serial = stream_h2h_serial(
                 edges.iter().copied(),
                 &degrees,
-                seed_sets.clone(),
+                sets.clone(),
                 sizes.clone(),
-                6_000,
+                total,
                 1.1,
-                1.05,
-                batch,
-                &mut sink,
-            )
-            .unwrap();
-            assert_eq!(sink.assignments, serial_sink.assignments, "batch {batch}");
-            for p in 0..k {
-                assert_eq!(state.load(p), serial.load(p), "batch {batch} load {p}");
-                assert_eq!(
-                    state.replica_sets()[p as usize].words(),
-                    serial.replica_sets()[p as usize].words(),
-                    "batch {batch} replicas {p}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn probe_sees_sparse_index_consistent_with_replayed_dense_state() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let (edges, degrees) = synth_stream(100, 500, 11);
-        let (seed_sets, sizes) = empty_state(4, 100);
-        // Capture assignments through a shared sink, replay them into a
-        // dense mirror inside the probe, and demand exact agreement every
-        // batch.
-        let log: Rc<RefCell<Vec<(u32, u32, u32)>>> = Rc::new(RefCell::new(Vec::new()));
-        let mut sink = {
-            let log = Rc::clone(&log);
-            move |u: u32, v: u32, p: u32| log.borrow_mut().push((u, v, p))
-        };
-        let mut replay = ReplicaState::new(4, 100);
-        let mut replayed = 0usize;
-        let mut batches = 0usize;
-        stream_h2h_with_inspect(
-            edges.iter().copied(),
-            &degrees,
-            seed_sets,
-            sizes,
-            1_000,
-            1.1,
-            1.05,
-            33,
-            &mut sink,
-            &mut |index, loads| {
-                batches += 1;
-                let assignments = log.borrow();
-                for &(u, v, p) in &assignments[replayed..] {
-                    replay.assign(u, v, p);
-                }
-                replayed = assignments.len();
-                for p in 0..4u32 {
-                    assert_eq!(loads[p as usize], replay.load(p), "loads diverge on part {p}");
-                }
-                for v in 0..100u32 {
-                    for p in 0..4u32 {
-                        assert_eq!(
-                            index.is_replicated(v, p),
-                            replay.is_replicated(v, p),
-                            "replica ({v}, {p}) diverges"
+                alpha,
+                &mut serial_sink,
+            );
+            let mut sink = CollectedAssignment::default();
+            let engine =
+                stream_h2h(edges.iter().copied(), &degrees, sets, sizes, total, 1.1, alpha, 0, &mut sink);
+            prop_assert_eq!(&sink.assignments, &serial_sink.assignments);
+            match (engine, serial) {
+                (Ok(state), Ok(serial)) => {
+                    prop_assert!(bad_at >= m);
+                    for p in 0..k {
+                        prop_assert_eq!(state.load(p), serial.load(p), "load {}", p);
+                        prop_assert_eq!(
+                            state.replica_sets()[p as usize].words(),
+                            serial.replica_sets()[p as usize].words(),
+                            "replicas {}", p
                         );
                     }
                 }
-            },
-        )
-        .unwrap();
-        assert!(batches == 500usize.div_ceil(33));
+                (Err(err), Err(_)) => {
+                    prop_assert!(
+                        matches!(err, GraphError::VertexOutOfRange { vertex, num_vertices: 300 } if vertex == n + 3),
+                        "got {}", err
+                    );
+                    prop_assert_eq!(sink.assignments.len(), bad_at);
+                }
+                (engine, serial) => {
+                    prop_assert!(false, "outcomes differ: {:?} vs {:?}", engine.err(), serial.err());
+                }
+            }
+        }
     }
 
     #[test]

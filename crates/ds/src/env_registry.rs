@@ -58,12 +58,6 @@ pub const KNOBS: &[EnvKnob] = &[
         since: "PR 7",
     },
     EnvKnob {
-        name: "HEP_STREAM_BATCH",
-        default: "0 (planner-sized)",
-        doc: "Edges per phase-2 streaming batch (bit-identical at every batch size)",
-        since: "PR 8",
-    },
-    EnvKnob {
         name: "HEP_SCALE",
         default: "1",
         doc: "Dataset scale factor of the bench harness's synthetic Table 3 analogs",
