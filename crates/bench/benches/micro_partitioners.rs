@@ -45,7 +45,7 @@ fn bench_partitioners(c: &mut Criterion) {
 fn bench_csr_build(c: &mut Criterion) {
     let g = graph();
     c.bench_function("pruned_csr_build_150k", |b| {
-        b.iter(|| black_box(hep_graph::PrunedCsr::build(&g, 10.0).column_entries()))
+        b.iter(|| black_box(hep_graph::PrunedCsr::build(&g, 10.0).unwrap().column_entries()))
     });
     c.bench_function("full_csr_build_150k", |b| {
         b.iter(|| black_box(hep_graph::Csr::build(&g).num_edges()))

@@ -3,16 +3,15 @@
 //! bound with its pessimistic heap constant rarely binding), while HDRF is
 //! exactly Θ(|E|·k).
 //!
-//! Also measures the `hep-par` thread scaling of the converted layers at
-//! `HEP_SCALE`-sized inputs: the generators and metrics scoring
-//! (embarrassingly parallel) and the chunked graph build (degree pass +
-//! pruned-CSR construction) — the same workload at 1/2/4/8 workers, with
-//! outputs that are bit-identical by construction; only wall-clock may
-//! differ.
+//! Also measures the `hep-par` thread scaling of the layers that still run
+//! on the pool at `HEP_SCALE`-sized inputs: the generators and metrics
+//! scoring (embarrassingly parallel) — the same workload at 1/2/4/8
+//! workers, with outputs that are bit-identical by construction; only
+//! wall-clock may differ.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use hep_graph::partitioner::{CollectedAssignment, CountingSink};
-use hep_graph::{DegreeStats, EdgePartitioner, PrunedCsr};
+use hep_graph::EdgePartitioner;
 use hep_metrics::PartitionMetrics;
 use std::time::Duration;
 
@@ -117,39 +116,11 @@ fn bench_parallel_metrics(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_graph_build(c: &mut Criterion) {
-    let scale = hep_bench::scale();
-    let m = 400_000u64 * scale as u64;
-    let g = hep_gen::GraphSpec::ChungLu { n: (m / 12) as u32, m, gamma: 2.2 }.generate(5);
-    let mut group = c.benchmark_group(&format!("par_build_{}k_edges", m / 1000));
-    for threads in THREAD_STEPS {
-        group.bench_with_input(BenchmarkId::new("degree_pass", threads), &threads, |b, &t| {
-            hep_par::set_threads(t);
-            b.iter(|| black_box(DegreeStats::new(&g, 10.0)).num_high)
-        });
-        group.bench_with_input(BenchmarkId::new("csr_build", threads), &threads, |b, &t| {
-            hep_par::set_threads(t);
-            // Stats computed once outside the loop: this row isolates the
-            // CSR construction (the degree pass has its own row above);
-            // the O(|V|) clone is noise next to the O(|E|) build.
-            let stats = DegreeStats::new(&g, 10.0);
-            b.iter(|| {
-                let mut h2h = 0u64;
-                let csr = PrunedCsr::build_streaming_h2h(&g, stats.clone(), |_| h2h += 1);
-                black_box(csr.column_entries() + h2h)
-            })
-        });
-    }
-    hep_par::set_threads(0);
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = configured();
     targets = bench_scaling_in_edges, bench_scaling_in_k,
-        bench_parallel_generators, bench_parallel_metrics,
-        bench_parallel_graph_build
+        bench_parallel_generators, bench_parallel_metrics
 }
 
 fn main() {

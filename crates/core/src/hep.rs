@@ -39,6 +39,43 @@ impl Drop for TempFileGuard {
     }
 }
 
+/// The external h2h edge file both drivers spill to while the CSR is built
+/// (§3.2.1): a fresh temp file behind a buffered writer. [`H2hSpill::push`]
+/// is the build's h2h sink and keeps the first write error, which
+/// [`H2hSpill::finish`] reports once the build is done.
+struct H2hSpill {
+    guard: TempFileGuard,
+    writer: std::io::BufWriter<std::fs::File>,
+    write_err: Option<std::io::Error>,
+}
+
+impl H2hSpill {
+    fn create() -> Result<Self, GraphError> {
+        let guard = TempFileGuard(h2h_temp_path());
+        let writer = std::io::BufWriter::new(std::fs::File::create(&guard.0)?);
+        Ok(H2hSpill { guard, writer, write_err: None })
+    }
+
+    fn push(&mut self, e: Edge) {
+        let r = self
+            .writer
+            .write_all(&e.src.to_le_bytes())
+            .and_then(|_| self.writer.write_all(&e.dst.to_le_bytes()));
+        if let Err(err) = r {
+            self.write_err.get_or_insert(err);
+        }
+    }
+
+    /// Flushes the file and hands back the guard that deletes it.
+    fn finish(mut self) -> Result<TempFileGuard, GraphError> {
+        self.writer.flush()?;
+        match self.write_err {
+            Some(err) => Err(err.into()),
+            None => Ok(self.guard),
+        }
+    }
+}
+
 /// Out-of-core ingestion: the degree pass plus the budget-planned CSR
 /// build, streamed straight off `file` with h2h edges handed to `h2h_sink`
 /// as they are discovered. This is the exact region the memory budget of
@@ -151,29 +188,20 @@ impl Hep {
     ) -> Result<HepRunReport, GraphError> {
         check_inputs(graph, k)?;
         self.config.validate()?;
-        // Phase 0: graph building (two passes over the edge list, §4.1;
-        // both chunk-parallel on the hep-par pool), spilling h2h edges to
-        // the external edge file as they are found.
+        // Phase 0: graph building (a degree pass and the two CSR passes
+        // over the edge list, §4.1), spilling h2h edges to the external
+        // edge file as they are found.
         // hep-lint: allow(HL002) -- phase timing lands in HepRunReport for benches; it never feeds an assignment decision
         let build_start = Instant::now();
         let stats = DegreeStats::new(graph, self.config.tau);
-        let h2h_path = h2h_temp_path();
-        let guard = TempFileGuard(h2h_path.clone());
-        let mut writer = std::io::BufWriter::new(std::fs::File::create(&h2h_path)?);
-        let mut write_err: Option<std::io::Error> = None;
-        let csr = PrunedCsr::build_streaming_h2h(graph, stats, |e| {
-            let r = writer
-                .write_all(&e.src.to_le_bytes())
-                .and_then(|_| writer.write_all(&e.dst.to_le_bytes()));
-            if let Err(err) = r {
-                write_err.get_or_insert(err);
-            }
-        });
-        writer.flush()?;
-        drop(writer);
-        if let Some(err) = write_err {
-            return Err(err.into());
-        }
+        let mut spill = H2hSpill::create()?;
+        let csr = PrunedCsr::build_from_passes_budgeted(
+            stats,
+            || Ok(graph.edges.iter().copied().map(Ok)),
+            |e| spill.push(e),
+            1,
+        )?;
+        let guard = spill.finish()?;
         self.finish_phases(csr, k, guard, build_start.elapsed().as_secs_f64(), None, sink)
     }
 
@@ -198,30 +226,16 @@ impl Hep {
         self.config.validate()?;
         // hep-lint: allow(HL002) -- phase timing lands in HepRunReport for benches; it never feeds an assignment decision
         let build_start = Instant::now();
-        let h2h_path = h2h_temp_path();
-        let guard = TempFileGuard(h2h_path.clone());
-        let mut writer = std::io::BufWriter::new(std::fs::File::create(&h2h_path)?);
-        let mut write_err: Option<std::io::Error> = None;
+        let mut spill = H2hSpill::create()?;
         let (csr, plan) = ingest_file_budgeted(
             file,
             self.config.tau,
             self.config.memory_budget_bytes,
             self.config.io_mode,
             Some((k, plan_stream_batch(k, self.config.memory_budget_bytes))),
-            |e| {
-                let r = writer
-                    .write_all(&e.src.to_le_bytes())
-                    .and_then(|_| writer.write_all(&e.dst.to_le_bytes()));
-                if let Err(err) = r {
-                    write_err.get_or_insert(err);
-                }
-            },
+            |e| spill.push(e),
         )?;
-        writer.flush()?;
-        drop(writer);
-        if let Some(err) = write_err {
-            return Err(err.into());
-        }
+        let guard = spill.finish()?;
         self.finish_phases(csr, k, guard, build_start.elapsed().as_secs_f64(), Some(plan), sink)
     }
 

@@ -530,7 +530,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn run(graph: &EdgeList, k: u32, tau: f64) -> (CollectedAssignment, NeppResult, Vec<Edge>) {
-        let csr = PrunedCsr::build(graph, tau);
+        let csr = PrunedCsr::build(graph, tau).unwrap();
         let h2h = csr.h2h_edges().to_vec();
         let mut sink = CollectedAssignment::default();
         let result = run_nepp(csr, k, &HepConfig::with_tau(tau), &mut sink);
@@ -641,7 +641,7 @@ mod tests {
     fn low_tau_reduces_inmem_edges() {
         let g = hep_gen::GraphSpec::ChungLu { n: 2000, m: 20_000, gamma: 2.0 }.generate(7);
         let h2h_count = |tau: f64| {
-            let csr = PrunedCsr::build(&g, tau);
+            let csr = PrunedCsr::build(&g, tau).unwrap();
             csr.h2h_edges().len()
         };
         assert!(h2h_count(1.0) > h2h_count(10.0));
@@ -683,14 +683,14 @@ mod tests {
     #[test]
     fn trace_recording_captures_accesses() {
         let g = hep_gen::GraphSpec::ChungLu { n: 200, m: 1000, gamma: 2.2 }.generate(2);
-        let csr = PrunedCsr::build(&g, 10.0);
+        let csr = PrunedCsr::build(&g, 10.0).unwrap();
         let mut sink = CollectedAssignment::default();
         let mut config = HepConfig::with_tau(10.0);
         config.record_trace = true;
         let result = run_nepp(csr, 4, &config, &mut sink);
         let trace = result.trace.expect("trace requested");
         assert!(!trace.is_empty());
-        let col_entries = PrunedCsr::build(&g, 10.0).column_entries();
+        let col_entries = PrunedCsr::build(&g, 10.0).unwrap().column_entries();
         assert!(trace.iter().all(|&idx| idx < col_entries));
     }
 

@@ -306,7 +306,7 @@ mod tests {
         let g = graph();
         for tau in [100.0, 10.0, 1.0] {
             let est = estimate_footprint_bytes(&g, tau, 32);
-            let built = PrunedCsr::build(&g, tau).memory_footprint_paper(32);
+            let built = PrunedCsr::build(&g, tau).unwrap().memory_footprint_paper(32);
             assert_eq!(est, built, "tau={tau}");
         }
     }
@@ -346,7 +346,7 @@ mod tests {
         let g = graph();
         let budget = estimate_footprint_bytes(&g, 10.0, 8) + 1;
         let plan = plan_tau(&g, 8, budget, &[100.0, 10.0, 1.0]).unwrap().unwrap();
-        let built = PrunedCsr::build(&g, plan.tau).memory_footprint_paper(8);
+        let built = PrunedCsr::build(&g, plan.tau).unwrap().memory_footprint_paper(8);
         assert!(built <= budget, "built {built} > budget {budget}");
     }
 

@@ -62,44 +62,11 @@ impl EdgeList {
 
     /// Undirected degree of every vertex (self-loops count twice, like in the
     /// CSR where a loop occupies an out and an in slot).
-    ///
-    /// The count runs on the `hep-par` pool: fixed edge chunks feed
-    /// per-worker histograms that are summed at the end. Integer addition is
-    /// commutative, so the result is exact and identical at any
-    /// `HEP_THREADS` value; small inputs take the serial path.
     pub fn degrees(&self) -> Vec<u32> {
-        /// Edges per counting chunk (fixed: the decomposition must depend
-        /// only on the input, never on the worker count).
-        const DEGREE_CHUNK: usize = 1 << 16;
-        let n = self.num_vertices as usize;
-        let pool = hep_par::Pool::current();
-        if pool.threads() <= 1 || self.edges.len() < 2 * DEGREE_CHUNK {
-            let mut deg = vec![0u32; n];
-            for e in &self.edges {
-                deg[e.src as usize] += 1;
-                deg[e.dst as usize] += 1;
-            }
-            return deg;
-        }
-        let ranges = hep_par::chunk_ranges(self.edges.len(), DEGREE_CHUNK);
-        let histograms = pool.par_for_each_init(
-            ranges.len(),
-            || vec![0u32; n],
-            |hist, i| {
-                let (a, b) = ranges[i];
-                for e in &self.edges[a..b] {
-                    hist[e.src as usize] += 1;
-                    hist[e.dst as usize] += 1;
-                }
-            },
-        );
-        let mut iter = histograms.into_iter();
-        // hep-lint: allow(HL007) -- par_map_init returns one state per worker and the pool always runs at least one worker
-        let mut deg = iter.next().expect("at least one worker histogram");
-        for hist in iter {
-            for (d, h) in deg.iter_mut().zip(hist) {
-                *d += h;
-            }
+        let mut deg = vec![0u32; self.num_vertices as usize];
+        for e in &self.edges {
+            deg[e.src as usize] += 1;
+            deg[e.dst as usize] += 1;
         }
         deg
     }

@@ -19,18 +19,6 @@ use crate::degrees::DegreeStats;
 use crate::edgelist::EdgeList;
 use crate::error::GraphError;
 use crate::types::{Edge, VertexId};
-use std::sync::atomic::{AtomicU32, Ordering};
-
-/// Minimum edges per construction chunk of the parallel builder.
-const BUILD_CHUNK_MIN: usize = 1 << 16;
-
-/// Upper bound on the number of construction chunks. The parallel builder
-/// keeps one `2 · |V| · 4`-byte offset table per chunk, so the bound caps
-/// the transient memory of a build at `≤ 8 · BUILD_MAX_CHUNKS · |V|` bytes
-/// regardless of `|E|`. It is a function of nothing but this constant —
-/// never of the worker count — so the chunk decomposition (and therefore
-/// the built CSR) is identical at any `HEP_THREADS` value.
-const BUILD_MAX_CHUNKS: usize = 16;
 
 /// Pruned CSR with dual index arrays, size fields and an h2h edge buffer.
 #[derive(Clone, Debug, PartialEq)]
@@ -56,259 +44,56 @@ pub struct PrunedCsr {
 }
 
 impl PrunedCsr {
-    /// Builds the pruned CSR in two passes (degree counting, insertion),
-    /// externalizing h2h edges. `tau` is the paper's threshold factor.
+    /// Builds the pruned CSR of an in-memory edge list, buffering the h2h
+    /// edges in [`PrunedCsr::h2h_edges`]. `tau` is the paper's threshold
+    /// factor. This is [`PrunedCsr::build_from_passes_budgeted`] with one
+    /// column sweep over the edge slice.
     ///
     /// The input must be a simple graph (no self-loops, no duplicate
     /// undirected edges); run [`EdgeList::canonicalize`] first if unsure.
-    pub fn build(graph: &EdgeList, tau: f64) -> Self {
-        let stats = DegreeStats::new(graph, tau);
-        Self::build_with_stats(graph, stats)
-    }
-
-    /// Builds from precomputed degree statistics (lets callers reuse the
-    /// degree pass, e.g. the τ planner of §4.4).
-    pub fn build_with_stats(graph: &EdgeList, stats: DegreeStats) -> Self {
+    pub fn build(graph: &EdgeList, tau: f64) -> Result<Self, GraphError> {
         let mut h2h = Vec::new();
-        let mut csr = Self::build_streaming_h2h(graph, stats, |e| h2h.push(e));
-        debug_assert_eq!(h2h.len() as u64, csr.num_h2h);
+        let mut csr = Self::build_from_passes_budgeted(
+            DegreeStats::new(graph, tau),
+            || Ok(graph.edges.iter().copied().map(Ok)),
+            |e| h2h.push(e),
+            1,
+        )?;
         csr.h2h = h2h;
-        csr
+        Ok(csr)
     }
 
-    /// Builds the pruned CSR, emitting h2h edges to `h2h_sink` instead of
-    /// buffering them — the paper's "write out edges between two high-degree
-    /// vertices to an external file while building the CSR" (§3.2.1). The
-    /// returned CSR has an empty [`PrunedCsr::h2h_edges`] buffer but a
-    /// correct [`PrunedCsr::num_inmem_edges`].
+    /// Builds the pruned CSR in two passes over an edge source (§4.1):
+    /// pass 1 counts segment capacities, pass 2 inserts, writing out h2h
+    /// edges as they are found — the paper's "write out edges between two
+    /// high-degree vertices to an external file while building the CSR"
+    /// (§3.2.1). `make_pass` yields one pass over the edges; it is called
+    /// once per pass and every call must yield the same edge sequence. The
+    /// source is an edge slice for [`PrunedCsr::build`] and the in-memory
+    /// driver, or the binary edge file of [`crate::binfile::BinaryEdgeFile`]
+    /// for the file pipeline, which never materializes an [`EdgeList`].
+    /// h2h edges go to `h2h_sink` in input order; the returned CSR has an
+    /// empty [`PrunedCsr::h2h_edges`] buffer but a correct
+    /// [`PrunedCsr::num_inmem_edges`].
     ///
-    /// Both construction passes run on the `hep-par` pool when it has more
-    /// than one worker: fixed edge chunks count per-chunk histograms that
-    /// are folded **in chunk order** into per-chunk insertion offsets, so
-    /// every chunk scatters into provably disjoint column slots and the
-    /// resulting CSR (including the order of entries within every adjacency
-    /// list, which NE++'s scan order depends on) is byte-identical to the
-    /// serial build at any `HEP_THREADS` value. h2h edges reach the sink in
-    /// input order in both paths.
-    pub fn build_streaming_h2h(
-        graph: &EdgeList,
-        stats: DegreeStats,
-        h2h_sink: impl FnMut(Edge),
-    ) -> Self {
-        debug_assert_eq!(stats.degrees.len(), graph.num_vertices as usize);
-        let pool = hep_par::Pool::current();
-        if pool.threads() <= 1 || graph.edges.len() < 2 * BUILD_CHUNK_MIN {
-            Self::build_serial(graph, stats, h2h_sink)
-        } else {
-            Self::build_parallel(graph, stats, h2h_sink)
-        }
-    }
-
-    /// The serial two-pass construction (also the `HEP_THREADS=1` path).
-    fn build_serial(graph: &EdgeList, stats: DegreeStats, mut h2h_sink: impl FnMut(Edge)) -> Self {
-        let n = graph.num_vertices as usize;
-        // Pass 1: per-vertex out/in capacities, skipping pruned lists.
-        let mut out_cap = vec![0u32; n];
-        let mut in_cap = vec![0u32; n];
-        let mut num_h2h = 0u64;
-        for e in &graph.edges {
-            debug_assert!(!e.is_self_loop(), "input must be canonicalized");
-            let src_high = stats.is_high(e.src);
-            let dst_high = stats.is_high(e.dst);
-            if src_high && dst_high {
-                num_h2h += 1;
-                continue;
-            }
-            if !src_high {
-                out_cap[e.src as usize] += 1;
-            }
-            if !dst_high {
-                in_cap[e.dst as usize] += 1;
-            }
-        }
-        let (index_out, index_in) = Self::index_arrays(&out_cap, &in_cap);
-        let total = index_out[n] as usize;
-        let mut col = vec![0u32; total];
-        // Pass 2: insertion.
-        let mut out_cursor: Vec<u64> = index_out[..n].to_vec();
-        let mut in_cursor = index_in.clone();
-        for e in &graph.edges {
-            let src_high = stats.is_high(e.src);
-            let dst_high = stats.is_high(e.dst);
-            if src_high && dst_high {
-                h2h_sink(*e);
-                continue;
-            }
-            if !src_high {
-                col[out_cursor[e.src as usize] as usize] = e.dst;
-                out_cursor[e.src as usize] += 1;
-            }
-            if !dst_high {
-                col[in_cursor[e.dst as usize] as usize] = e.src;
-                in_cursor[e.dst as usize] += 1;
-            }
-        }
-        PrunedCsr {
-            stats,
-            index_out,
-            index_in,
-            col,
-            out_size: out_cap,
-            in_size: in_cap,
-            h2h: Vec::new(),
-            num_h2h,
-            num_edges_total: graph.num_edges(),
-        }
-    }
-
-    /// The chunk-parallel construction. Chunk `c`'s insertion offset for a
-    /// vertex segment is the sum of chunk `0..c`'s counts for that vertex,
-    /// so all writes land in disjoint slots and match the serial insertion
-    /// order exactly; the column array is scattered through relaxed atomic
-    /// stores (no two chunks share a slot) and unwrapped afterwards.
-    fn build_parallel(
-        graph: &EdgeList,
-        stats: DegreeStats,
-        mut h2h_sink: impl FnMut(Edge),
-    ) -> Self {
-        let n = graph.num_vertices as usize;
-        let edges = &graph.edges;
-        let pool = hep_par::Pool::current();
-        let chunk = BUILD_CHUNK_MIN.max(edges.len().div_ceil(BUILD_MAX_CHUNKS));
-        let ranges = hep_par::chunk_ranges(edges.len(), chunk);
-        let stats_ref = &stats;
-        // Pass 1: per-chunk histograms (out-count, in-count, h2h tally).
-        let mut counts: Vec<(Vec<u32>, Vec<u32>, u64)> = pool.par_map(ranges.len(), |i| {
-            let (a, b) = ranges[i];
-            let mut out = vec![0u32; n];
-            let mut inn = vec![0u32; n];
-            let mut h2h = 0u64;
-            for e in &edges[a..b] {
-                debug_assert!(!e.is_self_loop(), "input must be canonicalized");
-                let src_high = stats_ref.is_high(e.src);
-                let dst_high = stats_ref.is_high(e.dst);
-                if src_high && dst_high {
-                    h2h += 1;
-                    continue;
-                }
-                if !src_high {
-                    out[e.src as usize] += 1;
-                }
-                if !dst_high {
-                    inn[e.dst as usize] += 1;
-                }
-            }
-            (out, inn, h2h)
-        });
-        // Chunk-ordered fold: totals per vertex, and each chunk's histogram
-        // is rewritten in place into its within-segment start offset.
-        let mut out_cap = vec![0u32; n];
-        let mut in_cap = vec![0u32; n];
-        let mut num_h2h = 0u64;
-        for (out, inn, h2h) in counts.iter_mut() {
-            num_h2h += *h2h;
-            // Not a copy (clippy::manual_memcpy misfires): this rewrites
-            // each chunk histogram into its exclusive running prefix while
-            // accumulating the totals in place.
-            #[allow(clippy::manual_memcpy)]
-            for v in 0..n {
-                let t = out[v];
-                out[v] = out_cap[v];
-                out_cap[v] += t;
-                let t = inn[v];
-                inn[v] = in_cap[v];
-                in_cap[v] += t;
-            }
-        }
-        let (index_out, index_in) = Self::index_arrays(&out_cap, &in_cap);
-        let total = index_out[n] as usize;
-        // Pass 2: disjoint-slot scatter; h2h edges come back per chunk, in
-        // chunk order, which concatenates to input order.
-        let col_atomic: Vec<AtomicU32> = (0..total).map(|_| AtomicU32::new(0)).collect();
-        let (counts_ref, col_ref) = (&counts, &col_atomic);
-        let (index_out_ref, index_in_ref) = (&index_out, &index_in);
-        let h2h_chunks: Vec<Vec<Edge>> = pool.par_map(ranges.len(), |i| {
-            let (a, b) = ranges[i];
-            let mut out_cur = counts_ref[i].0.clone();
-            let mut in_cur = counts_ref[i].1.clone();
-            let mut h2h = Vec::new();
-            for e in &edges[a..b] {
-                let src_high = stats_ref.is_high(e.src);
-                let dst_high = stats_ref.is_high(e.dst);
-                if src_high && dst_high {
-                    h2h.push(*e);
-                    continue;
-                }
-                if !src_high {
-                    let v = e.src as usize;
-                    let pos = index_out_ref[v] + out_cur[v] as u64;
-                    col_ref[pos as usize].store(e.dst, Ordering::Relaxed);
-                    out_cur[v] += 1;
-                }
-                if !dst_high {
-                    let v = e.dst as usize;
-                    let pos = index_in_ref[v] + in_cur[v] as u64;
-                    col_ref[pos as usize].store(e.src, Ordering::Relaxed);
-                    in_cur[v] += 1;
-                }
-            }
-            h2h
-        });
-        drop(counts);
-        let col: Vec<u32> = col_atomic.into_iter().map(AtomicU32::into_inner).collect();
-        for e in h2h_chunks.into_iter().flatten() {
-            h2h_sink(e);
-        }
-        PrunedCsr {
-            stats,
-            index_out,
-            index_in,
-            col,
-            out_size: out_cap,
-            in_size: in_cap,
-            h2h: Vec::new(),
-            num_h2h,
-            num_edges_total: graph.num_edges(),
-        }
-    }
-
-    /// Builds the pruned CSR from two streaming passes over an external edge
-    /// source (the binary edge file of [`crate::binfile::BinaryEdgeFile`]),
-    /// without ever materializing an [`EdgeList`]: pass 1 counts segment
-    /// capacities, pass 2 inserts. Both passes must yield the same edge
-    /// sequence; `make_pass` is called twice. h2h edges go to `h2h_sink` in
-    /// input order, exactly like [`PrunedCsr::build_streaming_h2h`].
+    /// The column-insertion phase is split into `column_passes` sequential
+    /// sweeps — the spillable column construction of the bounded-memory
+    /// pipeline (paper §4.2: the memory budget, not |E|, dictates what is
+    /// held at once). Sweep `r` re-reads the edge source and inserts only
+    /// entries owned by vertices in the `r`-th contiguous slice of the id
+    /// space, so the transient insertion state shrinks from cursors over
+    /// all of `V` to cursors over `|V| / column_passes` vertices
+    /// (`8·⌈|V|/S⌉` bytes instead of `16·|V|`) — IO passes traded for peak
+    /// memory. Per-vertex insertion order equals input order in every
+    /// sweep, so the built CSR (and the h2h sequence, emitted during the
+    /// first sweep only) is **bit-identical for any `column_passes`**,
+    /// which the tests pin.
     ///
     /// Endpoint ids are validated against `stats.num_vertices()` on every
     /// pass (external sources are untrusted, and the file may even change
     /// between passes): an out-of-range id returns
     /// [`GraphError::VertexOutOfRange`] instead of panicking on an
     /// out-of-bounds index.
-    pub fn build_from_passes<I>(
-        stats: DegreeStats,
-        make_pass: impl FnMut() -> Result<I, GraphError>,
-        h2h_sink: impl FnMut(Edge),
-    ) -> Result<Self, GraphError>
-    where
-        I: Iterator<Item = Result<Edge, GraphError>>,
-    {
-        Self::build_from_passes_budgeted(stats, make_pass, h2h_sink, 1)
-    }
-
-    /// [`PrunedCsr::build_from_passes`] with the column-insertion phase
-    /// split into `column_passes` sequential sweeps — the spillable column
-    /// construction of the bounded-memory pipeline (paper §4.2: the memory
-    /// budget, not |E|, dictates what is held at once).
-    ///
-    /// Sweep `r` re-reads the edge source and inserts only entries owned
-    /// by vertices in the `r`-th contiguous slice of the id space, so the
-    /// transient insertion state shrinks from cursors over all of `V` to
-    /// cursors over `|V| / column_passes` vertices (`8·⌈|V|/S⌉` bytes
-    /// instead of `16·|V|`) — IO passes traded for peak memory. Per-vertex
-    /// insertion order equals input order in every sweep, so the built CSR
-    /// (and the h2h sequence, emitted during the first sweep only) is
-    /// **bit-identical for any `column_passes`**, which the determinism
-    /// tests pin.
     pub fn build_from_passes_budgeted<I>(
         stats: DegreeStats,
         mut make_pass: impl FnMut() -> Result<I, GraphError>,
@@ -603,7 +388,7 @@ mod tests {
     #[test]
     fn figure4_pruning() {
         let g = figure4_graph();
-        let csr = PrunedCsr::build(&g, 1.5);
+        let csr = PrunedCsr::build(&g, 1.5).unwrap();
         // v4 and v5 are high-degree; their lists are pruned.
         assert!(csr.is_high(4) && csr.is_high(5));
         assert_eq!(csr.valid_degree(4), 0);
@@ -621,7 +406,7 @@ mod tests {
     #[test]
     fn out_in_split_follows_input_direction() {
         let g = figure4_graph();
-        let csr = PrunedCsr::build(&g, 1.5);
+        let csr = PrunedCsr::build(&g, 1.5).unwrap();
         // v7 appears as left endpoint of (7,8) and right endpoint of (0,5->no),
         // (0,7) and (5,7).
         assert_eq!(csr.out_neighbors(7), &[8]);
@@ -638,7 +423,7 @@ mod tests {
     #[test]
     fn swap_remove_out_is_constant_time_swap() {
         let g = EdgeList::from_pairs([(0, 1), (0, 2), (0, 3)]);
-        let mut csr = PrunedCsr::build(&g, 100.0);
+        let mut csr = PrunedCsr::build(&g, 100.0).unwrap();
         assert_eq!(csr.out_neighbors(0), &[1, 2, 3]);
         csr.swap_remove_out(0, 0); // removes entry "1", swapping in "3"
         assert_eq!(csr.out_neighbors(0), &[3, 2]);
@@ -653,7 +438,7 @@ mod tests {
     #[test]
     fn no_high_vertices_when_tau_large() {
         let g = figure4_graph();
-        let csr = PrunedCsr::build(&g, 1e9);
+        let csr = PrunedCsr::build(&g, 1e9).unwrap();
         assert_eq!(csr.h2h_edges().len(), 0);
         assert_eq!(csr.column_entries(), 22);
         assert_eq!(csr.num_inmem_edges(), 11);
@@ -664,7 +449,7 @@ mod tests {
         // A 4-cycle: every vertex has degree 2 = mean degree; with tau = 0.5
         // the threshold is 1 < 2, so every vertex is high and every edge h2h.
         let g = EdgeList::from_pairs([(0, 1), (1, 2), (2, 3), (3, 0)]);
-        let csr = PrunedCsr::build(&g, 0.5);
+        let csr = PrunedCsr::build(&g, 0.5).unwrap();
         assert_eq!(csr.h2h_edges().len(), 4);
         assert_eq!(csr.column_entries(), 0);
         assert_eq!(csr.num_inmem_edges(), 0);
@@ -673,7 +458,7 @@ mod tests {
     #[test]
     fn memory_footprint_formula() {
         let g = figure4_graph();
-        let csr = PrunedCsr::build(&g, 1.5);
+        let csr = PrunedCsr::build(&g, 1.5).unwrap();
         // 13 column entries * 4 + 6 * 9 * 4 + 9 * 33/8 at k=32.
         assert_eq!(csr.memory_footprint_paper(32), 13 * 4 + 6 * 9 * 4 + 9 * 33 / 8);
     }
@@ -681,7 +466,7 @@ mod tests {
     #[test]
     fn isolated_vertices_supported() {
         let g = EdgeList::with_vertices(10, [(0, 1)]).unwrap();
-        let csr = PrunedCsr::build(&g, 10.0);
+        let csr = PrunedCsr::build(&g, 10.0).unwrap();
         assert_eq!(csr.valid_degree(9), 0);
         assert_eq!(csr.num_vertices(), 10);
     }
@@ -699,43 +484,50 @@ mod tests {
         (0..count).map(|_| ((next() % n as u64) as u32, (next() % n as u64) as u32)).collect()
     }
 
-    #[test]
-    fn parallel_build_is_byte_identical_to_serial() {
-        // Large enough to engage the chunked path (>= 2 * BUILD_CHUNK_MIN).
-        let mut g = EdgeList::from_pairs(pseudo_pairs(150_000, 9_000, 42));
-        g.canonicalize();
-        assert!(g.edges.len() >= 2 * BUILD_CHUNK_MIN, "input must reach the parallel path");
-        for tau in [1.0, 4.0] {
-            let build = || {
-                let mut h2h = Vec::new();
-                let csr =
-                    PrunedCsr::build_streaming_h2h(&g, DegreeStats::new(&g, tau), |e| h2h.push(e));
-                (csr, h2h)
-            };
-            let (serial_csr, serial_h2h) = hep_par::with_threads(1, build);
-            for threads in [2usize, 8] {
-                let (par_csr, par_h2h) = hep_par::with_threads(threads, build);
-                assert_eq!(par_csr, serial_csr, "CSR diverged at {threads} threads, tau={tau}");
-                assert_eq!(par_h2h, serial_h2h, "h2h order diverged at {threads} threads");
+    /// Reference adjacency of the pruned CSR, built naively: per-vertex
+    /// out- and in-lists in input order, plus the h2h edges in input order.
+    fn reference_lists(
+        g: &EdgeList,
+        stats: &DegreeStats,
+    ) -> (Vec<Vec<u32>>, Vec<Vec<u32>>, Vec<Edge>) {
+        let n = g.num_vertices as usize;
+        let (mut out, mut inn, mut h2h) = (vec![Vec::new(); n], vec![Vec::new(); n], Vec::new());
+        for e in &g.edges {
+            let (src_high, dst_high) = (stats.is_high(e.src), stats.is_high(e.dst));
+            if src_high && dst_high {
+                h2h.push(*e);
+                continue;
+            }
+            if !src_high {
+                out[e.src as usize].push(e.dst);
+            }
+            if !dst_high {
+                inn[e.dst as usize].push(e.src);
             }
         }
+        (out, inn, h2h)
     }
 
     #[test]
     fn build_from_passes_matches_slice_build() {
         let g = figure4_graph();
         let stats = DegreeStats::new(&g, 1.5);
-        let mut h2h_a = Vec::new();
-        let a = PrunedCsr::build_streaming_h2h(&g, stats.clone(), |e| h2h_a.push(e));
+        let a = PrunedCsr::build(&g, 1.5).unwrap();
         let mut h2h_b = Vec::new();
-        let b = PrunedCsr::build_from_passes(
+        let mut b = PrunedCsr::build_from_passes_budgeted(
             stats,
             || Ok(g.edges.iter().copied().map(Ok)),
             |e| h2h_b.push(e),
+            1,
         )
         .unwrap();
+        // The sink sees exactly the edges the in-memory build buffers.
+        assert_eq!(h2h_b, vec![Edge::new(4, 5)]);
+        assert!(b.h2h_edges().is_empty(), "a sink build buffers nothing");
+        assert_eq!(b.num_h2h_edges(), 1);
+        assert_eq!(b.column_entries(), 13);
+        b.h2h = h2h_b;
         assert_eq!(a, b);
-        assert_eq!(h2h_a, h2h_b);
         assert_eq!(b.num_edges_total(), g.num_edges());
     }
 
@@ -756,9 +548,20 @@ mod tests {
             (csr, h2h)
         };
         let (base_csr, base_h2h) = build(1);
+        // Every list holds its entries in input order, and h2h edges come
+        // out in input order: NE++'s scan order depends on both.
+        let (out, inn, h2h) = reference_lists(&g, &stats);
+        for v in 0..base_csr.num_vertices() {
+            assert_eq!(base_csr.out_neighbors(v), out[v as usize].as_slice(), "out-list of {v}");
+            assert_eq!(base_csr.in_neighbors(v), inn[v as usize].as_slice(), "in-list of {v}");
+        }
+        assert_eq!(base_h2h, h2h);
+        assert_eq!(base_csr.num_edges_total(), g.num_edges());
+        let mut in_memory = PrunedCsr::build(&g, 1.5).unwrap();
+        assert_eq!(in_memory.h2h_edges(), base_h2h.as_slice());
+        in_memory.h2h.clear();
         assert_eq!(
-            base_csr,
-            PrunedCsr::build_streaming_h2h(&g, stats.clone(), |_| {}),
+            base_csr, in_memory,
             "single-sweep budgeted build must equal the in-memory build"
         );
         for sweeps in [2usize, 3, 7, 64, 601, usize::MAX] {
@@ -798,10 +601,11 @@ mod tests {
         // Degree stats over 3 vertices, but the pass yields edge (0, 9):
         // a typed error, not an index-out-of-bounds panic.
         let stats = DegreeStats::from_degrees(vec![1, 1, 0], 1.0, 10.0);
-        let err = PrunedCsr::build_from_passes(
+        let err = PrunedCsr::build_from_passes_budgeted(
             stats.clone(),
             || Ok([Ok(Edge::new(0, 9))].into_iter()),
             |_| {},
+            1,
         )
         .unwrap_err();
         assert!(
@@ -811,7 +615,7 @@ mod tests {
         // The second pass is validated too: pass 1 clean, pass 2 corrupt
         // (an external source can change between passes).
         let mut calls = 0;
-        let err = PrunedCsr::build_from_passes(
+        let err = PrunedCsr::build_from_passes_budgeted(
             stats,
             move || {
                 calls += 1;
@@ -819,6 +623,7 @@ mod tests {
                 Ok([Ok(e)].into_iter())
             },
             |_| {},
+            1,
         )
         .unwrap_err();
         assert!(matches!(err, GraphError::VertexOutOfRange { vertex: 7, .. }), "got {err}");
@@ -835,7 +640,7 @@ mod tests {
             let mut g = EdgeList::from_pairs(pairs);
             g.canonicalize();
             prop_assume!(!g.edges.is_empty());
-            let csr = PrunedCsr::build(&g, tau);
+            let csr = PrunedCsr::build(&g, tau).unwrap();
             // Each edge is "owned" by exactly one location: the out-entry of
             // a low src, else the in-entry of a low dst (src high), else h2h.
             let mut found = std::collections::HashMap::new();
@@ -876,7 +681,7 @@ mod tests {
             let mut g = EdgeList::from_pairs(pairs);
             g.canonicalize();
             prop_assume!(!g.edges.is_empty());
-            let csr = PrunedCsr::build(&g, tau);
+            let csr = PrunedCsr::build(&g, tau).unwrap();
             let expected: u64 = csr.stats().low_degree_adjacency_entries()
                 // low-high edges contribute 1 entry, not d(v)'s full share:
                 // low_degree_adjacency_entries counts each incident edge of a

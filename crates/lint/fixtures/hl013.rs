@@ -14,26 +14,26 @@ pub fn int_fold(xs: &[u64]) -> u64 {
 }
 
 pub fn tally(xs: &[u64], counts: &mut HashMap<u64, u32>) {
-    hep_par::par_for_each_init(|| 0u32, |_state, x| {
+    hep_par::par_for_each(xs, |x| {
         counts.insert(*x, 1); //~ HL013
     });
 }
 
 pub fn tally_local(xs: &[u64]) {
-    hep_par::par_for_each_init(|| 0u32, |_state, x| {
+    hep_par::par_for_each(xs, |x| {
         let mut local = HashMap::new();
         local.insert(*x, 1);
     });
 }
 
 pub fn atomic_last_writer(flags: &AtomicU64, xs: &[u64]) {
-    hep_par::par_for_each_init(|| (), |_state, x| {
+    hep_par::par_for_each(xs, |x| {
         flags.swap(*x, Ordering::Relaxed); //~ HL013
     });
 }
 
 pub fn atomic_count(total: &AtomicU64, xs: &[u64]) {
-    hep_par::par_for_each_init(|| (), |_state, _x| {
+    hep_par::par_for_each(xs, |_x| {
         total.fetch_add(1, Ordering::Relaxed);
     });
 }

@@ -8,7 +8,7 @@ pub fn int_fold(xs: &[u64]) -> u64 {
 }
 
 pub fn count(total: &AtomicU64, xs: &[u64]) {
-    hep_par::par_for_each_init(|| (), |_s, _x| {
+    hep_par::par_for_each(xs, |_x| {
         total.fetch_add(1, Ordering::Relaxed);
     });
 }

@@ -170,51 +170,6 @@ impl Pool {
         self.par_map(tasks, f);
     }
 
-    /// Like [`Pool::par_for_each`], but each worker first builds a private
-    /// state with `init` (scratch buffers, per-worker accumulators) that is
-    /// passed to every task it executes. The per-worker states are returned
-    /// **unordered** — anything folded out of them must be order-insensitive,
-    /// or the caller should use [`Pool::par_map`] instead.
-    pub fn par_for_each_init<S, I, F>(&self, tasks: usize, init: I, f: F) -> Vec<S>
-    where
-        S: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) + Sync,
-    {
-        if self.threads <= 1 || tasks <= 1 {
-            let mut state = init();
-            for i in 0..tasks {
-                f(&mut state, i);
-            }
-            return vec![state];
-        }
-        let next = AtomicUsize::new(0);
-        let states: Mutex<Vec<S>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.threads.min(tasks))
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut state = init();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= tasks {
-                                break;
-                            }
-                            f(&mut state, i);
-                        }
-                        sync::lock(&states).push(state);
-                    })
-                })
-                .collect();
-            for h in handles {
-                if let Err(payload) = h.join() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        });
-        sync::into_inner(states)
-    }
-
     /// Maps every task in parallel, then folds the partial results **in
     /// task order** on the calling thread. Because the fold order is fixed
     /// by the task decomposition, the result is identical at any thread
@@ -336,16 +291,6 @@ mod tests {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn par_for_each_init_state_count_bounded_by_threads() {
-        let states = Pool::new(3).par_for_each_init(64, || 0u64, |s, _| *s += 1);
-        assert!(states.len() <= 3);
-        assert_eq!(states.iter().sum::<u64>(), 64);
-        // Serial path: one state does all the work.
-        let states = Pool::new(1).par_for_each_init(64, || 0u64, |s, _| *s += 1);
-        assert_eq!(states, vec![64]);
     }
 
     #[test]

@@ -56,7 +56,7 @@ fn tau_controls_memory_monotonically() {
         .expect("valid grid")
         .expect("fits");
     assert!(plan.estimated_bytes <= budget);
-    let built = hep::graph::PrunedCsr::build(&g, plan.tau).memory_footprint_paper(32);
+    let built = hep::graph::PrunedCsr::build(&g, plan.tau).unwrap().memory_footprint_paper(32);
     assert_eq!(built, plan.estimated_bytes);
 }
 

@@ -116,22 +116,6 @@ proptest! {
     }
 
     #[test]
-    fn graph_build_is_thread_invariant(seed in 0u64..1000) {
-        // The chunked degree pass and pruned-CSR construction must produce
-        // byte-identical structures at any worker count (entry order within
-        // every adjacency list included — NE++'s scans depend on it).
-        let g = hep::gen::GraphSpec::ChungLu { n: 20_000, m: 150_000, gamma: 2.2 }.generate(seed);
-        let (a, b) = serial_vs_parallel(|| {
-            let stats = hep::graph::DegreeStats::new(&g, 4.0);
-            let mut h2h = Vec::new();
-            let csr = hep::graph::PrunedCsr::build_streaming_h2h(&g, stats, |e| h2h.push(e));
-            (csr, h2h)
-        });
-        prop_assert_eq!(&a.0, &b.0);
-        prop_assert_eq!(a.1, b.1);
-    }
-
-    #[test]
     fn mmap_and_buffered_file_pipelines_are_bit_identical(seed in 0u64..1000) {
         // The PassSource contract: the mmap and buffered backends feed the
         // degree pass, the budgeted CSR sweeps, and phase-2 streaming the
