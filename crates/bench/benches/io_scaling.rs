@@ -1,7 +1,8 @@
 //! IO scaling of the out-of-core ingestion pipeline (§4.1/§4.2 applied to
 //! disk): buffered-read vs mmap'd zero-copy passes over the HEPB v2 edge
-//! file — raw pass throughput and the full file-driven HEP pipeline — plus
-//! the budget-vs-τ trade-off table of the ingestion planner.
+//! file — raw pass throughput, the pruned-CSR build and the full
+//! file-driven HEP pipeline — plus the budget-vs-τ trade-off table of the
+//! ingestion planner.
 //!
 //! Besides the human-readable tables, emits `BENCH_io.json` in the working
 //! directory: a machine-readable record of the measured seconds and the
@@ -11,7 +12,7 @@ use hep_bench::banner;
 use hep_bench::report::{Json, Report};
 use hep_core::{plan_ingest, Hep, HepConfig};
 use hep_graph::partitioner::CountingSink;
-use hep_graph::{BinaryEdgeFile, IoMode};
+use hep_graph::{BinaryEdgeFile, IoMode, PrunedCsr};
 use hep_metrics::table::{format_bytes, format_secs, Table};
 use std::time::Instant;
 
@@ -41,15 +42,23 @@ fn main() {
     let file = BinaryEdgeFile::write(&path, &g).unwrap();
     let tau = 10.0;
 
-    // Raw pass throughput (degree pass = one full-file scan + classify)
-    // and the end-to-end file-driven pipeline, per backend.
+    // Raw pass throughput (degree pass = one full-file scan + classify),
+    // the graph build (degree pass + one-sweep pruned-CSR build, h2h edges
+    // dropped) and the end-to-end file-driven pipeline, per backend.
     let mut pass_secs = Vec::new();
+    let mut csr_build_secs = Vec::new();
     let mut pipeline_secs = Vec::new();
-    let mut t = Table::new(["backend", "degree pass", "full pipeline"]);
+    let mut t = Table::new(["backend", "degree pass", "CSR build", "full pipeline"]);
     for mode in [IoMode::Buffered, IoMode::Mmap] {
         let f = file.clone().with_io_mode(mode);
         let backend = f.pass().unwrap().backend();
         let pass = best_of(reps, || f.degree_stats(tau).unwrap().num_high);
+        let csr_build = best_of(reps, || {
+            let stats = f.degree_stats(tau).unwrap();
+            PrunedCsr::build_from_passes_budgeted(stats, || f.pass(), |_| {}, 1)
+                .unwrap()
+                .column_entries()
+        });
         let pipeline = best_of(reps, || {
             let mut config = HepConfig::with_tau(tau);
             config.io_mode = mode;
@@ -58,8 +67,14 @@ fn main() {
             Hep { config }.partition_file_with_report(&f, 32, &mut sink).unwrap();
             sink.counts.len()
         });
-        t.row([format!("{mode:?} (ran {backend:?})"), format_secs(pass), format_secs(pipeline)]);
+        t.row([
+            format!("{mode:?} (ran {backend:?})"),
+            format_secs(pass),
+            format_secs(csr_build),
+            format_secs(pipeline),
+        ]);
         pass_secs.push((mode, backend, pass));
+        csr_build_secs.push((mode, csr_build));
         pipeline_secs.push((mode, pipeline));
     }
     println!("{}", t.render());
@@ -98,9 +113,8 @@ fn main() {
     println!("{}", t.render());
     std::fs::remove_file(&path).ok();
 
-    // PR 6 emitted this record with an inline hand-rolled emitter; the
-    // shared report module generalizes it, keeping the `BENCH_io.json`
-    // name (and key set) that trajectory tooling already reads.
+    // Keeps the `BENCH_io.json` name and the keys that trajectory tooling
+    // already reads.
     let mut report = Report::new("io");
     report.set("vertices", n);
     report.set("edges", m);
@@ -120,6 +134,15 @@ fn main() {
                         ]),
                     )
                 })
+                .collect(),
+        ),
+    );
+    report.set(
+        "csr_build_secs",
+        Json::Object(
+            csr_build_secs
+                .iter()
+                .map(|(mode, secs)| (format!("{mode:?}"), (*secs).into()))
                 .collect(),
         ),
     );

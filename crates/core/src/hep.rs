@@ -188,16 +188,16 @@ impl Hep {
     ) -> Result<HepRunReport, GraphError> {
         check_inputs(graph, k)?;
         self.config.validate()?;
-        // Phase 0: graph building (a degree pass and the two CSR passes
-        // over the edge list, §4.1), spilling h2h edges to the external
-        // edge file as they are found.
+        // Phase 0: graph building (a degree pass and the CSR insertion
+        // pass over the edge list, §4.1), spilling h2h edges to the
+        // external edge file as they are found.
         // hep-lint: allow(HL002) -- phase timing lands in HepRunReport for benches; it never feeds an assignment decision
         let build_start = Instant::now();
         let stats = DegreeStats::new(graph, self.config.tau);
         let mut spill = H2hSpill::create()?;
         let csr = PrunedCsr::build_from_passes_budgeted(
             stats,
-            || Ok(graph.edges.iter().copied().map(Ok)),
+            || Ok(graph.edges.as_slice()),
             |e| spill.push(e),
             1,
         )?;

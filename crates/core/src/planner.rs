@@ -111,8 +111,8 @@ pub struct IngestPlan {
     /// the requested τ cannot fit the budget at any sweep count).
     pub tau: f64,
     /// Column-insertion sweeps for
-    /// [`hep_graph::PrunedCsr::build_from_passes_budgeted`] (1 = the plain
-    /// two-pass build).
+    /// [`hep_graph::PrunedCsr::build_from_passes_budgeted`] (1 = one
+    /// insertion pass after the degree pass).
     pub column_passes: usize,
     /// Predicted peak heap bytes of the degree pass + CSR build.
     pub estimated_peak_bytes: u64,
@@ -126,9 +126,10 @@ pub struct IngestPlan {
 /// allocator slack.
 pub const INGEST_FIXED_OVERHEAD_BYTES: u64 = 2 << 20;
 
-/// Sweep counts the ingest planner considers (powers of two: each step
-/// halves the transient cursor arrays at the price of one more pass over
-/// the file).
+/// Sweep counts the ingest planner considers (powers of two). Each step
+/// costs one more pass over the file and halves the `8·⌈n/S⌉` reserve of
+/// [`ingest_peak_bytes`]; the builder itself holds no per-sweep state, so
+/// the sweep count no longer changes the real peak.
 pub const INGEST_SWEEP_GRID: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 
 /// Heap bytes resident after a budgeted build: degree statistics (degrees
@@ -142,8 +143,10 @@ fn ingest_resident_bytes(n: u64, column_entries: u64) -> u64 {
 }
 
 /// Predicted peak heap bytes of a budgeted ingestion+build at `sweeps`
-/// column passes: the resident arrays plus the transient relative cursors
-/// (`8·⌈n/sweeps⌉`) and the fixed overhead.
+/// column passes: the resident arrays plus an `8·⌈n/sweeps⌉` reserve and
+/// the fixed overhead. The reserve once sized the builder's per-sweep
+/// cursors; the builder no longer holds any, and the term is kept
+/// unchanged so every plan (τ and sweep count) stays as it was.
 pub fn ingest_peak_bytes(n: u64, column_entries: u64, sweeps: usize) -> u64 {
     ingest_resident_bytes(n, column_entries)
         + 8 * n.div_ceil(sweeps.max(1) as u64)

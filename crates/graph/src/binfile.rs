@@ -159,9 +159,13 @@ pub struct BufferedSource {
 }
 
 impl BufferedSource {
-    fn new(mut file: File, payload_offset: u64) -> std::io::Result<BufferedSource> {
+    fn new(
+        mut file: File,
+        payload_offset: u64,
+        buf_bytes: usize,
+    ) -> std::io::Result<BufferedSource> {
         file.seek(SeekFrom::Start(payload_offset))?;
-        Ok(BufferedSource { reader: BufReader::with_capacity(PASS_BUF, file) })
+        Ok(BufferedSource { reader: BufReader::with_capacity(buf_bytes, file) })
     }
 }
 
@@ -546,11 +550,19 @@ impl BinaryEdgeFile {
     }
 
     /// Starts a streaming pass over the edges. Each call reopens the file,
-    /// so passes are repeatable (HEP's graph build takes several: degrees,
-    /// capacity count, insertion). For v2 files the pass verifies the
-    /// payload checksum as it reads; the mismatch, if any, is the final
-    /// item the iterator yields.
+    /// so passes are repeatable (HEP's graph build takes several: the
+    /// degree pass, then one per column sweep). For v2 files the pass
+    /// verifies the payload checksum as it reads; the mismatch, if any, is
+    /// the final item the iterator yields (and the error of
+    /// [`PairPass::for_each_pair`]).
     pub fn pass(&self) -> Result<EdgePass, GraphError> {
+        self.pass_with_buffer(PASS_BUF)
+    }
+
+    /// [`BinaryEdgeFile::pass`] reading `buf_bytes` per buffered chunk (the
+    /// mmap backend has no chunks). Tests pick a size that is not a
+    /// multiple of 8, so records straddle chunk boundaries.
+    pub(crate) fn pass_with_buffer(&self, buf_bytes: usize) -> Result<EdgePass, GraphError> {
         let file = File::open(&self.path)?;
         let len = file.metadata()?.len();
         // Validated at open time; a shorter file now means it shrank
@@ -563,11 +575,11 @@ impl BinaryEdgeFile {
             ));
         }
         let source: Box<dyn PassSource> = if self.io_mode == IoMode::Buffered {
-            Box::new(BufferedSource::new(file, self.header_len())?)
+            Box::new(BufferedSource::new(file, self.header_len(), buf_bytes)?)
         } else {
             match MmapSource::map(&file, len, self.header_len()) {
                 Some(s) => Box::new(s),
-                None => Box::new(BufferedSource::new(file, self.header_len())?),
+                None => Box::new(BufferedSource::new(file, self.header_len(), buf_bytes)?),
             }
         };
         Ok(EdgePass {
@@ -649,13 +661,37 @@ impl EdgePass {
         self.remaining = 0;
         self.expected_checksum = None;
     }
+}
 
-    /// Drains the whole pass, invoking `f(src, dst)` per edge, decoding
-    /// whole buffer chunks through the aligned zero-copy `u32` view when
-    /// available ([`u32_word_view`]) and byte-by-byte otherwise. Behavior
-    /// — edge order, typed errors, end-of-pass checksum verification — is
-    /// identical to iterating, and the two are pinned equal by tests.
-    pub fn for_each_pair(
+/// One pass over an edge sequence, handed to a callback pair by pair.
+/// [`PrunedCsr::build_from_passes_budgeted`](crate::PrunedCsr::build_from_passes_budgeted)
+/// takes its passes in this form, so the same builder runs over a file
+/// ([`EdgePass`], decoded in whole chunks) and over an in-memory edge slice.
+pub trait PairPass {
+    /// Calls `f(src, dst)` for every edge in order, stopping at the first
+    /// error `f` or the source returns.
+    fn for_each_pair(
+        self,
+        f: impl FnMut(u32, u32) -> Result<(), GraphError>,
+    ) -> Result<(), GraphError>;
+}
+
+impl PairPass for &[Edge] {
+    fn for_each_pair(
+        self,
+        mut f: impl FnMut(u32, u32) -> Result<(), GraphError>,
+    ) -> Result<(), GraphError> {
+        self.iter().try_for_each(|e| f(e.src, e.dst))
+    }
+}
+
+impl PairPass for EdgePass {
+    /// Drains the whole pass, decoding whole buffer chunks through the
+    /// aligned zero-copy `u32` view when available ([`u32_word_view`]) and
+    /// byte-by-byte otherwise. Behavior — edge order, typed errors,
+    /// end-of-pass checksum verification — is identical to iterating, and
+    /// the two are pinned equal by tests.
+    fn for_each_pair(
         mut self,
         mut f: impl FnMut(u32, u32) -> Result<(), GraphError>,
     ) -> Result<(), GraphError> {

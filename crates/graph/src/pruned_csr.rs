@@ -15,6 +15,7 @@
 //!   Removing an entry swaps it with the last valid entry and decrements the
 //!   size — the constant-time *lazy edge removal* of §3.2.2.
 
+use crate::binfile::PairPass;
 use crate::degrees::DegreeStats;
 use crate::edgelist::EdgeList;
 use crate::error::GraphError;
@@ -55,7 +56,7 @@ impl PrunedCsr {
         let mut h2h = Vec::new();
         let mut csr = Self::build_from_passes_budgeted(
             DegreeStats::new(graph, tau),
-            || Ok(graph.edges.iter().copied().map(Ok)),
+            || Ok(graph.edges.as_slice()),
             |e| h2h.push(e),
             1,
         )?;
@@ -63,151 +64,133 @@ impl PrunedCsr {
         Ok(csr)
     }
 
-    /// Builds the pruned CSR in two passes over an edge source (§4.1):
-    /// pass 1 counts segment capacities, pass 2 inserts, writing out h2h
-    /// edges as they are found — the paper's "write out edges between two
-    /// high-degree vertices to an external file while building the CSR"
-    /// (§3.2.1). `make_pass` yields one pass over the edges; it is called
-    /// once per pass and every call must yield the same edge sequence. The
+    /// Builds the pruned CSR from the degree table of a finished degree
+    /// pass and one insertion pass per column sweep over an edge source
+    /// (§4.1), writing out h2h edges as they are found — the paper's
+    /// "write out edges between two high-degree vertices to an external
+    /// file while building the CSR" (§3.2.1). `make_pass` yields one pass
+    /// over the edges; it is called once per sweep and every call must
+    /// yield the same edge sequence the degree table was counted from. The
     /// source is an edge slice for [`PrunedCsr::build`] and the in-memory
-    /// driver, or the binary edge file of [`crate::binfile::BinaryEdgeFile`]
-    /// for the file pipeline, which never materializes an [`EdgeList`].
-    /// h2h edges go to `h2h_sink` in input order; the returned CSR has an
-    /// empty [`PrunedCsr::h2h_edges`] buffer but a correct
-    /// [`PrunedCsr::num_inmem_edges`].
+    /// driver, or an [`EdgePass`](crate::binfile::EdgePass) of
+    /// [`crate::binfile::BinaryEdgeFile`] for the file pipeline, which never
+    /// materializes an [`EdgeList`]. h2h edges go to `h2h_sink` in input
+    /// order; the returned CSR has an empty [`PrunedCsr::h2h_edges`] buffer
+    /// but a correct [`PrunedCsr::num_inmem_edges`].
     ///
-    /// The column-insertion phase is split into `column_passes` sequential
-    /// sweeps — the spillable column construction of the bounded-memory
-    /// pipeline (paper §4.2: the memory budget, not |E|, dictates what is
-    /// held at once). Sweep `r` re-reads the edge source and inserts only
-    /// entries owned by vertices in the `r`-th contiguous slice of the id
-    /// space, so the transient insertion state shrinks from cursors over
-    /// all of `V` to cursors over `|V| / column_passes` vertices
-    /// (`8·⌈|V|/S⌉` bytes instead of `16·|V|`) — IO passes traded for peak
-    /// memory. Per-vertex insertion order equals input order in every
-    /// sweep, so the built CSR (and the h2h sequence, emitted during the
-    /// first sweep only) is **bit-identical for any `column_passes`**,
-    /// which the tests pin.
+    /// A low vertex stores every incident edge, so its segment is exactly
+    /// `d(v)` entries and the segments are laid out from the degree table
+    /// alone. Out-entries fill a segment from the front and in-entries
+    /// from the back, counted by the size fields; a final sequential loop
+    /// reverses each in-list back to input order, places `index_in`, and
+    /// checks that every segment is exactly full.
     ///
-    /// Endpoint ids are validated against `stats.num_vertices()` on every
-    /// pass (external sources are untrusted, and the file may even change
-    /// between passes): an out-of-range id returns
-    /// [`GraphError::VertexOutOfRange`] instead of panicking on an
-    /// out-of-bounds index.
-    pub fn build_from_passes_budgeted<I>(
+    /// The insertion is split into `column_passes` sequential sweeps over
+    /// contiguous slices of the id space: sweep `r` re-reads the source and
+    /// inserts only entries owned by vertices of the `r`-th slice. The
+    /// builder holds no per-sweep state, so sweeps do not lower the peak;
+    /// they only re-read the source. Per-vertex insertion order
+    /// equals input order in every sweep, so the built CSR (and the h2h
+    /// sequence, emitted during the first sweep only) is **bit-identical
+    /// for any `column_passes`**, which the tests pin.
+    ///
+    /// External sources are untrusted and may even change between passes.
+    /// Endpoint ids are validated against `stats.num_vertices()` in every
+    /// sweep ([`GraphError::VertexOutOfRange`]). A source that yields more
+    /// entries for a vertex than its degree, or fewer, returns
+    /// [`GraphError::TruncatedBinary`] instead of scattering into a
+    /// neighbouring segment or leaving zero-filled entries behind.
+    pub fn build_from_passes_budgeted<P: PairPass>(
         stats: DegreeStats,
-        mut make_pass: impl FnMut() -> Result<I, GraphError>,
+        mut make_pass: impl FnMut() -> Result<P, GraphError>,
         mut h2h_sink: impl FnMut(Edge),
         column_passes: usize,
-    ) -> Result<Self, GraphError>
-    where
-        I: Iterator<Item = Result<Edge, GraphError>>,
-    {
+    ) -> Result<Self, GraphError> {
         let n = stats.num_vertices() as usize;
-        let check_range = |e: Edge| -> Result<Edge, GraphError> {
-            let max = e.src.max(e.dst);
-            if max as usize >= n {
-                return Err(GraphError::VertexOutOfRange { vertex: max, num_vertices: n as u32 });
+        let mut index_out = Vec::with_capacity(n + 1);
+        let mut end = 0u64;
+        index_out.push(end);
+        for (v, &d) in stats.degrees.iter().enumerate() {
+            if !stats.is_high(v as u32) {
+                end += d as u64;
             }
-            Ok(e)
-        };
-        let mut out_cap = vec![0u32; n];
-        let mut in_cap = vec![0u32; n];
+            index_out.push(end);
+        }
+        let mut col = vec![0u32; end as usize];
+        let mut out_size = vec![0u32; n];
+        let mut in_size = vec![0u32; n];
         let mut num_h2h = 0u64;
         let mut num_edges_total = 0u64;
-        for e in make_pass()? {
-            let e = check_range(e?)?;
-            num_edges_total += 1;
-            let src_high = stats.is_high(e.src);
-            let dst_high = stats.is_high(e.dst);
-            if src_high && dst_high {
-                num_h2h += 1;
-                continue;
-            }
-            if !src_high {
-                out_cap[e.src as usize] += 1;
-            }
-            if !dst_high {
-                in_cap[e.dst as usize] += 1;
-            }
-        }
-        let (index_out, index_in) = Self::index_arrays(&out_cap, &in_cap);
-        let total = index_out[n] as usize;
-        let mut col = vec![0u32; total];
-        let sweeps = column_passes.clamp(1, n.max(1));
-        let seg_len = n.div_ceil(sweeps).max(1);
-        // Cursors are *relative* to the vertex's list start (u32: a list
-        // holds at most `u32` entries by construction), sized to one
-        // segment, and reused across sweeps.
-        let mut out_rel = vec![0u32; seg_len.min(n)];
-        let mut in_rel = vec![0u32; seg_len.min(n)];
-        let mut lo = 0usize;
-        while lo < n || (n == 0 && lo == 0) {
-            let hi = (lo + seg_len).min(n);
+        // The capacity guards below keep every slot inside its segment; a
+        // slot outside the column array is the same typed error.
+        let truncated = || GraphError::TruncatedBinary { bytes: 0 };
+        let seg_len = n.div_ceil(column_passes.clamp(1, n.max(1))).max(1);
+        for lo in (0..n.max(1)).step_by(seg_len) {
+            let owned = lo..(lo + seg_len).min(n);
             let first_sweep = lo == 0;
-            out_rel[..hi - lo].fill(0);
-            in_rel[..hi - lo].fill(0);
-            for e in make_pass()? {
-                let e = check_range(e?)?;
-                let src_high = stats.is_high(e.src);
-                let dst_high = stats.is_high(e.dst);
-                if src_high && dst_high {
-                    if first_sweep {
-                        h2h_sink(e);
-                    }
-                    continue;
+            make_pass()?.for_each_pair(|src, dst| {
+                let max = src.max(dst);
+                if max as usize >= n {
+                    return Err(GraphError::VertexOutOfRange {
+                        vertex: max,
+                        num_vertices: n as u32,
+                    });
                 }
-                let src = e.src as usize;
-                if !src_high && (lo..hi).contains(&src) {
-                    let rel = &mut out_rel[src - lo];
-                    if *rel >= out_cap[src] {
-                        // More entries than the counting pass saw: the
-                        // source changed between passes. A typed error,
-                        // not a scatter into another vertex's segment.
-                        return Err(GraphError::TruncatedBinary { bytes: 0 });
+                let src_high = stats.is_high(src);
+                let dst_high = stats.is_high(dst);
+                if first_sweep {
+                    num_edges_total += 1;
+                    if src_high && dst_high {
+                        num_h2h += 1;
+                        h2h_sink(Edge::new(src, dst));
                     }
-                    col[(index_out[src] + *rel as u64) as usize] = e.dst;
-                    *rel += 1;
                 }
-                let dst = e.dst as usize;
-                if !dst_high && (lo..hi).contains(&dst) {
-                    let rel = &mut in_rel[dst - lo];
-                    if *rel >= in_cap[dst] {
-                        return Err(GraphError::TruncatedBinary { bytes: 0 });
+                let (s, d) = (src as usize, dst as usize);
+                if !src_high && owned.contains(&s) {
+                    if out_size[s] + in_size[s] == stats.degrees[s] {
+                        // More entries than the degree pass counted: the
+                        // source changed. A typed error, not a scatter into
+                        // the in-list or the next vertex's segment.
+                        return Err(truncated());
                     }
-                    col[(index_in[dst] + *rel as u64) as usize] = e.src;
-                    *rel += 1;
+                    let slot = index_out[s] + out_size[s] as u64;
+                    *col.get_mut(slot as usize).ok_or_else(truncated)? = dst;
+                    out_size[s] += 1;
                 }
+                if !dst_high && owned.contains(&d) {
+                    if out_size[d] + in_size[d] == stats.degrees[d] {
+                        return Err(truncated());
+                    }
+                    in_size[d] += 1;
+                    let slot = index_out[d + 1] - in_size[d] as u64;
+                    *col.get_mut(slot as usize).ok_or_else(truncated)? = src;
+                }
+                Ok(())
+            })?;
+        }
+        let mut index_in = Vec::with_capacity(n);
+        for v in 0..n {
+            let split = index_out[v] + out_size[v] as u64;
+            let list =
+                col.get_mut(split as usize..index_out[v + 1] as usize).ok_or_else(truncated)?;
+            if list.len() != in_size[v] as usize {
+                // Fewer entries than the degree pass counted.
+                return Err(truncated());
             }
-            lo = hi;
-            if n == 0 {
-                break;
-            }
+            list.reverse();
+            index_in.push(split);
         }
         Ok(PrunedCsr {
             stats,
             index_out,
             index_in,
             col,
-            out_size: out_cap,
-            in_size: in_cap,
+            out_size,
+            in_size,
             h2h: Vec::new(),
             num_h2h,
             num_edges_total,
         })
-    }
-
-    /// Dual index arrays from per-vertex capacities: the segment of `v` is
-    /// its out-list followed by its in-list.
-    fn index_arrays(out_cap: &[u32], in_cap: &[u32]) -> (Vec<u64>, Vec<u64>) {
-        let n = out_cap.len();
-        let mut index_out = vec![0u64; n + 1];
-        let mut index_in = vec![0u64; n];
-        for v in 0..n {
-            index_in[v] = index_out[v] + out_cap[v] as u64;
-            index_out[v + 1] = index_in[v] + in_cap[v] as u64;
-        }
-        (index_out, index_in)
     }
 
     /// Number of vertices.
@@ -366,6 +349,7 @@ impl PrunedCsr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::binfile::{BinaryEdgeFile, IoMode};
     use proptest::prelude::*;
 
     /// The 9-vertex, 11-edge example of Figures 3 and 4.
@@ -516,7 +500,7 @@ mod tests {
         let mut h2h_b = Vec::new();
         let mut b = PrunedCsr::build_from_passes_budgeted(
             stats,
-            || Ok(g.edges.iter().copied().map(Ok)),
+            || Ok(g.edges.as_slice()),
             |e| h2h_b.push(e),
             1,
         )
@@ -531,32 +515,48 @@ mod tests {
         assert_eq!(b.num_edges_total(), g.num_edges());
     }
 
+    fn tmp_file(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("hep_pruned_csr_{}_{name}", std::process::id()))
+    }
+
+    /// Builds over `make_pass` with `sweeps` column sweeps, collecting the
+    /// sink's h2h edges.
+    fn build_sink<P: PairPass>(
+        stats: &DegreeStats,
+        make_pass: impl FnMut() -> Result<P, GraphError>,
+        sweeps: usize,
+    ) -> Result<(PrunedCsr, Vec<Edge>), GraphError> {
+        let mut h2h = Vec::new();
+        let csr = PrunedCsr::build_from_passes_budgeted(
+            stats.clone(),
+            make_pass,
+            |e| h2h.push(e),
+            sweeps,
+        )?;
+        Ok((csr, h2h))
+    }
+
+    /// Every list holds its entries in input order, and h2h edges come out
+    /// in input order: NE++'s scan order depends on both.
+    fn assert_matches_reference(g: &EdgeList, stats: &DegreeStats, csr: &PrunedCsr, h2h: &[Edge]) {
+        let (out, inn, ref_h2h) = reference_lists(g, stats);
+        for v in 0..csr.num_vertices() {
+            assert_eq!(csr.out_neighbors(v), out[v as usize].as_slice(), "out-list of {v}");
+            assert_eq!(csr.in_neighbors(v), inn[v as usize].as_slice(), "in-list of {v}");
+        }
+        assert_eq!(h2h, ref_h2h.as_slice());
+        assert_eq!(csr.num_edges_total(), g.num_edges());
+        assert_eq!(csr.num_h2h_edges(), ref_h2h.len() as u64);
+    }
+
     #[test]
     fn budgeted_build_is_identical_for_any_sweep_count() {
         let mut g = EdgeList::from_pairs(pseudo_pairs(5_000, 600, 7));
         g.canonicalize();
         let stats = DegreeStats::new(&g, 1.5);
-        let build = |sweeps: usize| {
-            let mut h2h = Vec::new();
-            let csr = PrunedCsr::build_from_passes_budgeted(
-                stats.clone(),
-                || Ok(g.edges.iter().copied().map(Ok)),
-                |e| h2h.push(e),
-                sweeps,
-            )
-            .unwrap();
-            (csr, h2h)
-        };
-        let (base_csr, base_h2h) = build(1);
-        // Every list holds its entries in input order, and h2h edges come
-        // out in input order: NE++'s scan order depends on both.
-        let (out, inn, h2h) = reference_lists(&g, &stats);
-        for v in 0..base_csr.num_vertices() {
-            assert_eq!(base_csr.out_neighbors(v), out[v as usize].as_slice(), "out-list of {v}");
-            assert_eq!(base_csr.in_neighbors(v), inn[v as usize].as_slice(), "in-list of {v}");
-        }
-        assert_eq!(base_h2h, h2h);
-        assert_eq!(base_csr.num_edges_total(), g.num_edges());
+        let slice_pass = || Ok(g.edges.as_slice());
+        let (base_csr, base_h2h) = build_sink(&stats, slice_pass, 1).unwrap();
+        assert_matches_reference(&g, &stats, &base_csr, &base_h2h);
         let mut in_memory = PrunedCsr::build(&g, 1.5).unwrap();
         assert_eq!(in_memory.h2h_edges(), base_h2h.as_slice());
         in_memory.h2h.clear();
@@ -565,32 +565,94 @@ mod tests {
             "single-sweep budgeted build must equal the in-memory build"
         );
         for sweeps in [2usize, 3, 7, 64, 601, usize::MAX] {
-            let (csr, h2h) = build(sweeps);
+            let (csr, h2h) = build_sink(&stats, slice_pass, sweeps).unwrap();
             assert_eq!(csr, base_csr, "CSR diverged at {sweeps} sweeps");
             assert_eq!(h2h, base_h2h, "h2h order diverged at {sweeps} sweeps");
+        }
+
+        // The same build over a HEPB file, through both pass backends.
+        let path = tmp_file("sweeps");
+        let file = BinaryEdgeFile::write(&path, &g).unwrap();
+        for mode in [IoMode::Buffered, IoMode::Mmap] {
+            let file = file.clone().with_io_mode(mode);
+            for sweeps in [1usize, 2, 7] {
+                let (csr, h2h) = build_sink(&stats, || file.pass(), sweeps).unwrap();
+                assert_eq!(csr, base_csr, "{mode:?} file build diverged at {sweeps} sweeps");
+                assert_eq!(h2h, base_h2h, "{mode:?} h2h order diverged at {sweeps} sweeps");
+            }
+        }
+
+        // A tampered payload that keeps every degree (one record's ids
+        // swapped) passes every range and capacity check; only the payload
+        // checksum catches it, and the build must return that error.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let rec = crate::binfile::V2_HEADER_LEN as usize + 8 * 100;
+        let (src, dst) = (bytes[rec..rec + 4].to_vec(), bytes[rec + 4..rec + 8].to_vec());
+        assert_ne!(src, dst);
+        bytes[rec..rec + 4].copy_from_slice(&dst);
+        bytes[rec + 4..rec + 8].copy_from_slice(&src);
+        std::fs::write(&path, &bytes).unwrap();
+        for mode in [IoMode::Buffered, IoMode::Mmap] {
+            let file = file.clone().with_io_mode(mode);
+            for sweeps in [1usize, 2] {
+                let err = build_sink(&stats, || file.pass(), sweeps).unwrap_err();
+                assert!(
+                    matches!(err, GraphError::ChecksumMismatch { section: "payload", .. }),
+                    "{mode:?} at {sweeps} sweeps: got {err}"
+                );
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn buffered_build_with_records_straddling_chunks_matches_reference() {
+        // A read chunk of 1 MiB + 4 bytes ends every chunk half-way through
+        // a record, so each chunk boundary takes the reassembly path.
+        let chunk = (1 << 20) + 4;
+        let mut g = EdgeList::from_pairs(pseudo_pairs(150_000, 20_000, 11));
+        g.canonicalize();
+        assert!(g.num_edges() * 8 > chunk as u64, "the payload must span two chunks");
+        let stats = DegreeStats::new(&g, 2.0);
+        let path = tmp_file("straddle");
+        let file = BinaryEdgeFile::write(&path, &g).unwrap().with_io_mode(IoMode::Buffered);
+        for sweeps in [1usize, 2] {
+            let (csr, h2h) = build_sink(&stats, || file.pass_with_buffer(chunk), sweeps).unwrap();
+            assert_matches_reference(&g, &stats, &csr, &h2h);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn build_rejects_source_short_of_the_degree_table() {
+        // The degree table counts (0,1), (0,2), but the pass yields only
+        // (0,1): vertex 0's segment and vertex 2's in-list stay short. A
+        // typed error, not a CSR with zero-filled phantom entries.
+        let stats = DegreeStats::from_degrees(vec![2, 1, 1], 1.0, 10.0);
+        let short = [Edge::new(0, 1)];
+        for sweeps in [1usize, 2] {
+            let err = build_sink(&stats, || Ok(&short[..]), sweeps).unwrap_err();
+            assert!(matches!(err, GraphError::TruncatedBinary { .. }), "got {err}");
         }
     }
 
     #[test]
     fn budgeted_build_rejects_source_growing_between_passes() {
-        // Pass 1 sees one edge, later passes see two for the same vertex:
-        // without the cursor guard this would scatter into a neighbouring
-        // vertex's column segment.
-        let stats = DegreeStats::from_degrees(vec![2, 1, 1], 1.0, 10.0);
+        // Sweep 1 (vertices 0..2) sees the two edges the degree table was
+        // counted from; sweep 2 (vertex 2) sees a third edge into vertex 2.
+        // Without the capacity guard it would scatter into vertex 2's
+        // out-list or past its segment.
+        let stats = DegreeStats::from_degrees(vec![1, 2, 1], 1.0, 10.0);
+        let first: &[Edge] = &[Edge::new(0, 1), Edge::new(1, 2)];
+        let grown: &[Edge] = &[Edge::new(0, 1), Edge::new(1, 2), Edge::new(0, 2)];
         let mut calls = 0;
-        let err = PrunedCsr::build_from_passes_budgeted(
-            stats,
+        let err = build_sink(
+            &stats,
             move || {
                 calls += 1;
-                let edges: Vec<Result<Edge, GraphError>> = if calls == 1 {
-                    vec![Ok(Edge::new(0, 1))]
-                } else {
-                    vec![Ok(Edge::new(0, 1)), Ok(Edge::new(0, 2))]
-                };
-                Ok(edges.into_iter())
+                Ok(if calls == 1 { first } else { grown })
             },
-            |_| {},
-            1,
+            2,
         )
         .unwrap_err();
         assert!(matches!(err, GraphError::TruncatedBinary { .. }), "got {err}");
@@ -601,29 +663,23 @@ mod tests {
         // Degree stats over 3 vertices, but the pass yields edge (0, 9):
         // a typed error, not an index-out-of-bounds panic.
         let stats = DegreeStats::from_degrees(vec![1, 1, 0], 1.0, 10.0);
-        let err = PrunedCsr::build_from_passes_budgeted(
-            stats.clone(),
-            || Ok([Ok(Edge::new(0, 9))].into_iter()),
-            |_| {},
-            1,
-        )
-        .unwrap_err();
+        let bad = [Edge::new(0, 9)];
+        let err = build_sink(&stats, || Ok(&bad[..]), 1).unwrap_err();
         assert!(
             matches!(err, GraphError::VertexOutOfRange { vertex: 9, num_vertices: 3 }),
             "got {err}"
         );
-        // The second pass is validated too: pass 1 clean, pass 2 corrupt
-        // (an external source can change between passes).
+        // The second sweep is validated too: sweep 1 clean, sweep 2
+        // corrupt (an external source can change between passes).
+        let (clean, corrupt): (&[Edge], &[Edge]) = (&[Edge::new(0, 1)], &[Edge::new(7, 1)]);
         let mut calls = 0;
-        let err = PrunedCsr::build_from_passes_budgeted(
-            stats,
+        let err = build_sink(
+            &stats,
             move || {
                 calls += 1;
-                let e = if calls == 1 { Edge::new(0, 1) } else { Edge::new(7, 1) };
-                Ok([Ok(e)].into_iter())
+                Ok(if calls == 1 { clean } else { corrupt })
             },
-            |_| {},
-            1,
+            2,
         )
         .unwrap_err();
         assert!(matches!(err, GraphError::VertexOutOfRange { vertex: 7, .. }), "got {err}");
