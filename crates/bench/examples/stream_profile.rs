@@ -1,6 +1,8 @@
 //! Dev-loop harness for phase-2 streaming: the serial dense oracle against
 //! the replica-mask engine on the fig7 bench's hub-skewed workload,
 //! best-of-N timing so run-to-run noise doesn't swamp the comparison.
+//! k = 4 is the load tracker's worst case (with few parts, many increments
+//! create or drop a load level); k = 128 is `stream_hubs`' part count.
 //!
 //! `cargo run --release -p hep-bench --example stream_profile [edges] [reps]`
 
@@ -24,7 +26,7 @@ fn main() {
         degrees[a as usize] += 1;
         degrees[b as usize] += 1;
     }
-    for k in [32u32, 128] {
+    for k in [4u32, 32, 128] {
         let mut sets: Vec<DenseBitset> = (0..k).map(|_| DenseBitset::new(n as usize)).collect();
         for v in 0..(n / 4) {
             sets[(v % k) as usize].set(v);

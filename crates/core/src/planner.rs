@@ -71,7 +71,7 @@ fn stream_batch_bytes_per_edge(k: u32) -> u64 {
 /// * `arena` — the vertex-major **replica-mask matrix**, ⌈k/64⌉ words per
 ///   vertex, transposed from the seed sets (each set is dropped as soon as
 ///   its bits are moved);
-/// * `tracker` — the load vector plus its ordered `(load, part)` array;
+/// * `tracker` — the load tracker, [`load_tracker_bytes`];
 /// * `dense_export` — the k replica bitsets rebuilt at the end for
 ///   [`hep_baselines::scoring::ReplicaState`] while the matrix is still
 ///   live.
@@ -96,11 +96,20 @@ pub fn estimate_stream_overhead_bytes(degrees: &[u32], k: u32, batch: usize) -> 
     let index = 12 * n + 8 + 4 * entries;
     let conflict = 16 * n + n.div_ceil(64) * 8;
     let arena = 8 * k64.div_ceil(64) * n;
-    let tracker = 56 * k64;
+    let tracker = load_tracker_bytes(k);
     let buffers = batch.max(1) as u64 * stream_batch_bytes_per_edge(k);
     let scratch = 16 * k64;
     let dense_export = k64 * (n.div_ceil(64) * 8);
     index + conflict + arena + tracker + buffers + scratch + dense_export
+}
+
+/// The phase-2 load tracker's charge: `k · max(56, 32 + 8·⌈k/64⌉)` bytes,
+/// the tracker's real size (`streaming::tracker_bytes_per_part`
+/// per part) with a 56-byte floor. The floor is the former sorted-array
+/// tracker's charge, kept so that every plan at k ≤ 192 — where the real
+/// tracker is no larger — is unchanged.
+pub fn load_tracker_bytes(k: u32) -> u64 {
+    k.max(1) as u64 * crate::streaming::tracker_bytes_per_part(k).max(56)
 }
 
 /// An ingestion plan under a memory budget: the τ and column-sweep count
@@ -443,14 +452,16 @@ mod tests {
         assert!(at(32, 65536) > at(32, 64), "bigger batch, bigger buffers");
         // The index term saturates once k exceeds the 3·max_degree + 1 row
         // bound; only the k-proportional terms (dense export, mask arena,
-        // tracker, per-edge shortlist bound) keep growing — strictly slower
-        // than k x |V|.
+        // per-edge shortlist bound) and the load tracker, whose rows add
+        // ⌈k/64⌉ words per part past k = 192, keep growing — strictly
+        // slower than k x |V|.
         let n = degrees.len() as u64;
         let max_d = degrees.iter().copied().max().unwrap() as u64;
         let sat = (3 * max_d + 1) as u32;
         let dense_growth = at(2 * sat, 64) - at(sat, 64);
+        let tracker_growth = load_tracker_bytes(2 * sat) - load_tracker_bytes(sat);
         assert!(
-            dense_growth < sat as u64 * (n.div_ceil(64) * 8 + 16 * 64 + 56 + 17),
+            dense_growth < sat as u64 * (n.div_ceil(64) * 8 + 16 * 64 + 17) + tracker_growth,
             "index entries must stop growing once k exceeds the row bound"
         );
     }

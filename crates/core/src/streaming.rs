@@ -21,24 +21,26 @@
 //!    into k separate bitsets. Each seed set is dropped as soon as its bits
 //!    are moved, and the k dense sets are rebuilt once at the end for
 //!    [`ReplicaState`].
-//! 2. **O(candidates) balance argmax** — a `LoadTracker` keeps
-//!    `(load, part)` pairs in a sorted array with a position index (loads
-//!    only move by +1, so reordering is one binary search plus a short
-//!    rotate — no tree nodes, no per-edge allocation). The best
-//!    zero-replica partition (the only non-candidate part that can win:
-//!    with `C_REP = 0` the score is strictly decreasing in load, ties to
-//!    the lower id) is the first array entry whose bit is clear in the
-//!    mask union — skipped outright when the union covers all k — and
-//!    the all-at-cap fallback is the first entry, period. Within the
-//!    candidates the same monotonicity collapses the argmax to ≤ 3
-//!    per-membership-class `(load, id)` minima — integer comparisons —
-//!    and a domination rule (`g ≥ 1`, so the both-replicated class beats
-//!    every class collected after it) usually ends the ordered walk at
-//!    its first entry. An edge evaluates at most four floating-point
-//!    scores however many candidates there are (`pick_partition`'s
-//!    fast path; an exact serial-order scan takes over on pathological
-//!    load spreads). A `debug_assertions` cross-check re-derives every
-//!    decision with a serial-style full k-scan.
+//! 2. **O(candidates) balance argmax** — a `LoadTracker` keeps one *level
+//!    node* per distinct load, linked in ascending load order, each with a
+//!    `⌈k/64⌉`-word bitset of the parts at that load. Loads only move by
+//!    +1, so an increment moves one bit to the next level, relabels an
+//!    emptied node, or links a free node — O(⌈k/64⌉), no search, no
+//!    memmove, no allocation. The all-at-cap fallback is the head level's
+//!    lowest bit. With `C_REP = 0` the score is strictly decreasing in
+//!    load, ties to the lower id, so the best zero-replica partition (the
+//!    only non-candidate part that can win) is the lowest bit of
+//!    `row & !(u|v)` at the first level where that is non-zero — skipped
+//!    outright when the mask union covers all k. Within the candidates
+//!    the same monotonicity collapses the argmax to ≤ 3 per-membership-
+//!    class `(load, id)` minima, found the same way with the class masks
+//!    `u&!v`, `v&!u` and `u&v`; a domination rule (`g ≥ 1`, so the
+//!    both-replicated class beats every class collected after it) usually
+//!    ends the walk at the head level. An edge evaluates at most four
+//!    floating-point scores however many candidates there are
+//!    (`pick_partition`'s fast path; an exact serial-order scan takes over
+//!    on pathological load spreads). A `debug_assertions` cross-check
+//!    re-derives every decision with a serial-style full k-scan.
 //!
 //! Edge endpoints are validated against the degree table: an h2h edge
 //! referencing a vertex id ≥ `degrees.len()` — a corrupt or truncated
@@ -52,30 +54,71 @@ use hep_baselines::scoring::{capacity, ReplicaState, BAL_EPSILON};
 use hep_ds::DenseBitset;
 use hep_graph::{AssignSink, Edge, GraphError, PartitionId};
 
-/// Partition loads with an ordered view: `by_load` holds `(load, part)`
-/// pairs sorted ascending, so the global minimum (and the least-loaded
-/// part with the lowest id — the serial `min_by_key` fallback) is the
-/// first element, and [`pick_partition`]'s class walk visits parts in
-/// exactly the per-class tie-break order. Loads only move by +1, so
-/// keeping the array sorted is two binary searches (the entry's slot and
-/// the end of the displaced run) plus a short rotate — at k ≤ a few
-/// hundred this stays in one or two cache lines, where a tree pays
-/// pointer chases and node traffic on every edge. `max` is maintained as
-/// a scalar (loads only grow).
+/// Link value of a missing neighbour in the level list.
+const NIL: u32 = u32::MAX;
+
+/// One distinct load in [`LoadTracker`]'s ascending level list; the parts
+/// at this load are the node's row of the tracker's bitset matrix.
+#[derive(Clone, Copy)]
+struct Level {
+    load: u64,
+    next: u32,
+    prev: u32,
+}
+
+/// Partition loads with an ordered view: the distinct loads form a doubly
+/// linked list of level nodes in ascending order, each with a
+/// `⌈k/64⌉`-word bitset of the parts at that load. Walking from `head`
+/// along `next` and taking each row's bits low to high visits the parts
+/// in exactly `(load, id)` order, so the head row's lowest bit is the
+/// serial `min_by_key` fallback and [`pick_partition`]'s class walk sees
+/// each class's minimum at the first level whose row meets the class
+/// mask. There are never more than k distinct loads, so the nodes live in
+/// fixed k-slot arrays with a stack of free slots: an increment clears one
+/// bit and sets one, relabelling, unlinking or linking at most one node.
 struct LoadTracker {
     loads: Vec<u64>,
-    by_load: Vec<(u64, u32)>,
-    max: u64,
+    /// The level node holding each part's bit.
+    node_of: Vec<u32>,
+    levels: Vec<Level>,
+    /// Node-major part bitsets, `wpm` words per node; free nodes are zero.
+    rows: Vec<u64>,
+    free: Vec<u32>,
+    head: u32,
+    tail: u32,
+    wpm: usize,
 }
 
 impl LoadTracker {
     fn new(loads: Vec<u64>) -> Self {
-        let mut by_load: Vec<(u64, u32)> =
-            loads.iter().enumerate().map(|(p, &l)| (l, p as u32)).collect();
-        by_load.sort_unstable();
-        // hep-lint: allow(HL007) -- check_inputs rejects k == 0 before any tracker is built
-        let max = by_load.last().expect("k >= 1").0;
-        LoadTracker { loads, by_load, max }
+        let k = loads.len();
+        let wpm = k.div_ceil(64);
+        // The sort order becomes the free stack once the levels are laid, so
+        // building allocates nothing beyond the tracker's charged size.
+        let mut order: Vec<u32> = (0..k as u32).collect();
+        order.sort_unstable_by_key(|&p| loads[p as usize]);
+        let mut levels = vec![Level { load: 0, next: NIL, prev: NIL }; k];
+        let mut rows = vec![0u64; k * wpm];
+        let mut node_of = vec![0u32; k];
+        let mut used = 0u32;
+        for &p in &order {
+            let l = loads[p as usize];
+            if used == 0 || levels[used as usize - 1].load != l {
+                if used > 0 {
+                    levels[used as usize - 1].next = used;
+                    levels[used as usize].prev = used - 1;
+                }
+                levels[used as usize].load = l;
+                used += 1;
+            }
+            rows[(used as usize - 1) * wpm + (p >> 6) as usize] |= 1 << (p & 63);
+            node_of[p as usize] = used - 1;
+        }
+        order.clear();
+        order.extend((used..k as u32).rev());
+        // hep-lint: allow(HL007) -- stream_h2h asserts k >= 1 before building the tracker, so at least one level exists
+        let tail = used.checked_sub(1).expect("k >= 1");
+        LoadTracker { loads, node_of, levels, rows, free: order, head: 0, tail, wpm }
     }
 
     #[inline]
@@ -83,35 +126,97 @@ impl LoadTracker {
         self.loads[p as usize]
     }
 
-    /// `(min load, lowest part id at that load)`.
     #[inline]
+    fn row(&self, n: u32) -> &[u64] {
+        &self.rows[n as usize * self.wpm..(n as usize + 1) * self.wpm]
+    }
+
+    #[inline]
+    fn min_load(&self) -> u64 {
+        self.levels[self.head as usize].load
+    }
+
+    #[inline]
+    fn max(&self) -> u64 {
+        self.levels[self.tail as usize].load
+    }
+
+    /// `(min load, lowest part id at that load)`.
     fn min_entry(&self) -> (u64, u32) {
-        self.by_load[0]
+        let row = self.row(self.head);
+        // hep-lint: allow(HL007) -- a linked level always holds at least one part: emptied nodes are relabelled or unlinked in the same increment
+        let w = row.iter().position(|&x| x != 0).expect("live level rows are non-empty");
+        (self.min_load(), (w as u32) << 6 | row[w].trailing_zeros())
     }
 
     /// Adds one edge to `p`, saturating at `u64::MAX` (the all-at-cap
     /// fallback keeps assigning past the cap, so loads can approach the
     /// integer limit on adversarial inputs; a wrap would reset the balance
-    /// ordering mid-stream).
+    /// ordering mid-stream). `p`'s bit moves from its level `l` to level
+    /// `l + 1`: into the next node if it holds `l + 1`, else into `p`'s
+    /// own node relabelled in place if `p` was alone, else into a free
+    /// node linked after it.
     fn increment(&mut self, p: u32) {
-        debug_assert!(
-            (p as usize) < self.loads.len() && self.by_load.len() == self.loads.len(),
-            "partition id {p} out of range"
-        );
-        let l = self.loads[p as usize];
-        let nl = l.saturating_add(1);
-        if nl != l {
-            self.loads[p as usize] = nl;
-            let i = self.by_load.partition_point(|&e| e < (l, p));
-            debug_assert_eq!(self.by_load[i], (l, p));
-            // Final slot: just before the first entry ordered after the
-            // bumped key (entries in between shift one slot left).
-            let j = i + self.by_load[i + 1..].partition_point(|&e| e < (nl, p));
-            self.by_load[i..=j].rotate_left(1);
-            self.by_load[j] = (nl, p);
-        }
-        self.max = self.max.max(nl);
+        debug_assert!((p as usize) < self.loads.len(), "partition id {p} out of range");
+        let Some(nl) = self.loads[p as usize].checked_add(1) else {
+            return;
+        };
+        self.loads[p as usize] = nl;
+        let (w, bit) = ((p >> 6) as usize, 1u64 << (p & 63));
+        let n = self.node_of[p as usize];
+        let base = n as usize * self.wpm;
+        self.rows[base + w] &= !bit;
+        let emptied = self.rows[base..base + self.wpm].iter().all(|&x| x == 0);
+        let next = self.levels[n as usize].next;
+        let to = if next != NIL && self.levels[next as usize].load == nl {
+            if emptied {
+                self.unlink(n);
+            }
+            next
+        } else if emptied {
+            // Level `l` held only `p`; its neighbours hold loads < l and
+            // > l + 1, so the relabelled node keeps its place.
+            self.levels[n as usize].load = nl;
+            n
+        } else {
+            // hep-lint: allow(HL007) -- n keeps a part besides p, so at most k − 1 parts span the other levels: live levels ≤ k − 1 before this one is linked, leaving a free slot among the k
+            let m = self.free.pop().expect("fewer than k levels are live");
+            self.levels[m as usize] = Level { load: nl, next, prev: n };
+            self.levels[n as usize].next = m;
+            if next == NIL {
+                self.tail = m;
+            } else {
+                self.levels[next as usize].prev = m;
+            }
+            m
+        };
+        self.rows[to as usize * self.wpm + w] |= bit;
+        self.node_of[p as usize] = to;
     }
+
+    /// Unlinks the emptied node `n` and returns its slot to the free stack
+    /// (its row is already all zero).
+    fn unlink(&mut self, n: u32) {
+        let Level { next, prev, .. } = self.levels[n as usize];
+        if prev == NIL {
+            self.head = next;
+        } else {
+            self.levels[prev as usize].next = next;
+        }
+        if next == NIL {
+            self.tail = prev;
+        } else {
+            self.levels[next as usize].prev = prev;
+        }
+        self.free.push(n);
+    }
+}
+
+/// Heap bytes per part of the load tracker at `k` parts: its load (8 B)
+/// and level-node index (4 B), one level-node slot (a 16-byte [`Level`]
+/// and its `⌈k/64⌉`-word row), and one free-stack slot (4 B).
+pub(crate) fn tracker_bytes_per_part(k: u32) -> u64 {
+    32 + 8 * (k.max(1) as u64).div_ceil(64)
 }
 
 /// Load spread below which [`pick_partition`]'s class-minimum fast path is
@@ -139,12 +244,13 @@ const FAST_LAMBDA_RANGE: std::ops::RangeInclusive<f64> = 1e-9..=1e12;
 /// across distinct loads, with equal loads scoring bitwise-equal (the
 /// serial tie then goes to the lowest id). The serial argmax is therefore
 /// the best of ≤ 4 per-class `(load, id)` minima — and because
-/// [`LoadTracker::by_load`] orders parts by exactly that key, one short
-/// ascending walk collects all four (the first entry falling in each
-/// class is that class's minimum, the walk ends once every class known
-/// non-empty from the mask popcounts has one, or at the first at-cap
-/// entry since everything after it is at the cap too). A commit evaluates
-/// at most four floating-point scores however many candidates there are.
+/// [`LoadTracker`]'s levels visit parts in exactly that order, one short
+/// walk from the head level collects them: a class's minimum is the lowest
+/// set bit of `row & class_mask` at the first level where that is
+/// non-zero. The walk ends once every class known non-empty from the mask
+/// popcounts has one, or at the first at-cap level since every later
+/// level is at the cap too. A commit evaluates at most four
+/// floating-point scores however many candidates there are.
 /// Outside that envelope (huge load spreads
 /// where f64 rounding can collapse distinct loads to equal scores, or
 /// λ = 0 where every class ties wholesale and the ascending-id visit
@@ -159,13 +265,13 @@ fn pick_partition(
     lambda: f64,
     cap: u64,
 ) -> PartitionId {
-    let (min_load, min_part) = tracker.min_entry();
+    let min_load = tracker.min_load();
     if min_load >= cap {
         // Every partition at the cap: the serial loop scores nothing and
-        // falls back to `min_by_key(load)` — the first ordered entry.
-        return min_part;
+        // falls back to `min_by_key(load)` — the head level's lowest id.
+        return tracker.min_entry().1;
     }
-    let max_load = tracker.max;
+    let max_load = tracker.max();
     if !(max_load - min_load < FAST_SPREAD_LIMIT && FAST_LAMBDA_RANGE.contains(&lambda)) {
         return pick_serial_order(
             mask_u, mask_v, tracker, g_u, g_v, lambda, cap, min_load, max_load,
@@ -174,18 +280,20 @@ fn pick_partition(
     let denom = BAL_EPSILON + (max_load - min_load) as f64;
     // Class non-emptiness from mask popcounts (class = membership bits:
     // 0 = neither endpoint replicated, 1 = u only, 2 = v only, 3 = both),
-    // then one ascending walk over the ordered loads. The first entry
-    // falling in a class (two bit probes) is that class's `(load, id)`
-    // minimum. Walking ascending also yields a domination rule that ends
-    // the walk early: the balance reward only shrinks as loads grow
-    // (strictly across distinct loads inside the envelope, and a later
-    // equal load has a larger id and loses the tie), so once a class is
-    // collected, any *unseen* class whose `C_REP` is ≤ the collected
-    // class's can never produce the argmax. `g(u), g(v) ≥ 1`, so the
-    // both-replicated class dominates everything — when both rows are
-    // broad (the saturated-hub common case) the walk ends at the very
-    // first entry. The walk also stops at the first at-cap entry, since
-    // every later load is at the cap too and the serial loop skips those.
+    // then one ascending walk over the levels. At each level every
+    // still-needed class takes the lowest bit of its row under the class
+    // mask — that class's `(load, id)` minimum. Walking ascending also
+    // yields a domination rule that ends the walk early: the balance
+    // reward only shrinks as loads grow (strictly across distinct loads
+    // inside the envelope), so once a class is collected, any *unseen*
+    // class whose `C_REP` is ≤ the collected class's can never produce the
+    // argmax. The rule is applied after the whole level: two classes
+    // collected at one load both stay candidates, so an equal-score tie
+    // between them still goes to the lower id below. `g(u), g(v) ≥ 1`, so
+    // the both-replicated class dominates everything — when both rows are
+    // broad (the saturated-hub common case) the walk ends at the head
+    // level. The walk also stops at the first at-cap level, since every
+    // later load is at the cap too and the serial loop skips those.
     let mut need: u32 = 0;
     let mut covered = 0u32;
     for (&mu, &mv) in mask_u.iter().zip(mask_v) {
@@ -197,36 +305,51 @@ fn pick_partition(
     need |= u32::from(covered < tracker.loads.len() as u32);
     let mut cand: [(u64, u32); 4] = [(0, 0); 4];
     let mut have: u32 = 0;
-    for &(l, p) in &tracker.by_load {
+    let mut n = tracker.head;
+    while n != NIL {
+        let Level { load: l, next, .. } = tracker.levels[n as usize];
         if l >= cap {
             break;
         }
-        let (w, bit) = ((p >> 6) as usize, p & 63);
-        let c = ((mask_u[w] >> bit & 1) | (mask_v[w] >> bit & 1) << 1) as u32;
-        if need & (1 << c) != 0 {
-            cand[c as usize] = (l, p);
-            have |= 1 << c;
-            need &= !(1 << c);
-            match c {
-                3 => need = 0,
-                1 => {
-                    need &= !1;
-                    if g_v <= g_u {
-                        need &= !(1 << 2);
-                    }
+        let row = tracker.row(n);
+        let mut found = 0u32;
+        let mut todo = need;
+        while todo != 0 {
+            let c = todo.trailing_zeros();
+            todo &= todo - 1;
+            // All-ones flips a mask to its complement: class c keeps the
+            // parts whose u bit is c's bit 0 and whose v bit is c's bit 1.
+            let (fu, fv) =
+                (u64::from(c & 1 == 0).wrapping_neg(), u64::from(c & 2 == 0).wrapping_neg());
+            for (w, ((&r, &mu), &mv)) in row.iter().zip(mask_u).zip(mask_v).enumerate() {
+                let hit = r & (mu ^ fu) & (mv ^ fv);
+                if hit != 0 {
+                    cand[c as usize] = (l, (w as u32) << 6 | hit.trailing_zeros());
+                    found |= 1 << c;
+                    break;
                 }
-                2 => {
-                    need &= !1;
-                    if g_u <= g_v {
-                        need &= !(1 << 1);
-                    }
-                }
-                _ => {}
+            }
+        }
+        if found != 0 {
+            have |= found;
+            need &= !found;
+            if found & 0b1000 != 0 {
+                need = 0;
+            }
+            if found & 0b0110 != 0 {
+                need &= !1;
+            }
+            if found & 0b0010 != 0 && g_v <= g_u {
+                need &= !0b0100;
+            }
+            if found & 0b0100 != 0 && g_u <= g_v {
+                need &= !0b0010;
             }
             if need == 0 {
                 break;
             }
         }
+        n = next;
     }
     let mut best: Option<(f64, u32)> = None;
     for (mem, &(l, p)) in cand.iter().enumerate() {
@@ -325,6 +448,7 @@ fn debug_check_full_scan(
     let min_load = tracker.loads.iter().copied().min().expect("k >= 1");
     // hep-lint: allow(HL007) -- stream_h2h rejects k == 0, so loads is non-empty
     let max_load = tracker.loads.iter().copied().max().expect("k >= 1");
+    debug_assert_eq!((min_load, max_load), (tracker.min_load(), tracker.max()));
     let denom = BAL_EPSILON + (max_load - min_load) as f64;
     let mut best: Option<(f64, u32)> = None;
     for p in 0..k {
@@ -569,21 +693,25 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The engine's contract: the assignment sequence, final loads and
         /// every replica-set word equal [`stream_h2h_serial`]'s. `k` spans
+        /// a few parts (most increments then create or drop a load level),
         /// one-word, full-word and multi-word mask rows; NE++-like seeded
-        /// replicas (some vertices on two parts) and uneven loads start the
-        /// stream. `tight` sizes the cap so the all-at-cap fallback takes
-        /// over mid-stream; `bad_at < m` plants an out-of-range edge there,
+        /// replicas (some vertices on two parts) start the stream, from
+        /// uneven loads or, with `equal`, one shared load, so a level's
+        /// row holds many parts and equal-load ties across classes decide.
+        /// `tight` sizes the cap so the all-at-cap fallback takes over
+        /// mid-stream; `bad_at < m` plants an out-of-range edge there,
         /// which must surface as the typed error after exactly the valid
         /// prefix.
         #[test]
         fn engine_matches_serial_bitwise(
             seed in 0u64..1000,
-            k in prop_oneof![Just(2u32), Just(63), Just(64), Just(65), Just(128), Just(200)],
+            k in prop_oneof![Just(2u32), Just(4), Just(63), Just(64), Just(65), Just(128), Just(200)],
             tight in 0u32..2,
+            equal in 0u32..2,
             bad_at in 0usize..4_000,
         ) {
             let n = 300u32;
@@ -607,7 +735,11 @@ mod tests {
                 sets[(v % k) as usize].set(v);
                 sets[((v * 31 + 5) % k) as usize].set(v);
             }
-            let sizes: Vec<u64> = (0..k as u64).map(|p| p * 29 % 97).collect();
+            let sizes: Vec<u64> = if equal == 1 {
+                vec![40; k as usize]
+            } else {
+                (0..k as u64).map(|p| p * 29 % 97).collect()
+            };
             let (total, alpha) = if tight == 1 { (m as u64 / 2, 1.0) } else { (4 * m as u64, 1.05) };
             if tight == 1 {
                 // The room under the cap is smaller than the stream, so the
@@ -654,6 +786,91 @@ mod tests {
                     prop_assert!(false, "outcomes differ: {:?} vs {:?}", engine.err(), serial.err());
                 }
             }
+        }
+    }
+
+    /// The tracker's level walk as `(load, id)` pairs, checking the list
+    /// invariants on the way: strictly ascending level loads, back links,
+    /// `tail`, non-empty linked rows, `node_of`, all-zero free rows, and
+    /// live plus free nodes filling the k slots.
+    fn level_walk(t: &LoadTracker) -> Vec<(u64, u32)> {
+        let mut out = Vec::with_capacity(t.loads.len());
+        let (mut n, mut prev, mut live) = (t.head, NIL, 0usize);
+        while n != NIL {
+            let level = t.levels[n as usize];
+            assert_eq!(level.prev, prev, "back link of node {n}");
+            if prev != NIL {
+                assert!(t.levels[prev as usize].load < level.load, "levels out of order");
+            }
+            let row = t.row(n);
+            assert!(row.iter().any(|&w| w != 0), "linked node {n} is empty");
+            for (w, &word) in row.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let p = (w as u32) << 6 | bits.trailing_zeros();
+                    assert_eq!(t.node_of[p as usize], n, "node_of[{p}]");
+                    out.push((level.load, p));
+                    bits &= bits - 1;
+                }
+            }
+            (prev, n, live) = (n, level.next, live + 1);
+        }
+        assert_eq!(t.tail, prev);
+        assert_eq!(live + t.free.len(), t.loads.len(), "live and free nodes fill the k slots");
+        assert!(t.free.iter().all(|&f| t.row(f).iter().all(|&w| w == 0)), "free rows are zero");
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The level list against a naive model: from start loads with
+        /// duplicates (a spread of 1 puts every part on one level) or near
+        /// `u64::MAX`, after every increment — of the least-loaded part,
+        /// as the balance term favours, or of a random one — the level
+        /// walk enumerates exactly the sorted `(load, id)` list, and
+        /// `min_entry` and `max` are its ends. Saturated parts stay put.
+        #[test]
+        fn tracker_levels_enumerate_sorted_loads(
+            seed in 0u64..10_000,
+            k in prop_oneof![Just(1u32), Just(4), Just(64), Just(65), Just(200)],
+            spread in prop_oneof![Just(1u64), Just(3), Just(1_000)],
+            near_max in 0u32..2,
+        ) {
+            let mut rng = hep_ds::SplitMix64::new(seed);
+            let base = if near_max == 1 { u64::MAX - 8 } else { 0 };
+            let mut model: Vec<u64> =
+                (0..k).map(|_| base.saturating_add(rng.next_below(spread))).collect();
+            let mut t = LoadTracker::new(model.clone());
+            for step in 0..400 {
+                let mut naive: Vec<(u64, u32)> =
+                    model.iter().enumerate().map(|(p, &l)| (l, p as u32)).collect();
+                naive.sort_unstable();
+                prop_assert_eq!(&level_walk(&t), &naive, "step {}", step);
+                prop_assert_eq!(t.min_entry(), naive[0]);
+                prop_assert_eq!(t.max(), naive[naive.len() - 1].0);
+                prop_assert_eq!(&t.loads, &model);
+                let p = if rng.next_below(2) == 0 {
+                    t.min_entry().1
+                } else {
+                    rng.next_below(k as u64) as u32
+                };
+                model[p as usize] = model[p as usize].saturating_add(1);
+                t.increment(p);
+            }
+        }
+    }
+
+    #[test]
+    fn tracker_heap_matches_its_per_part_size() {
+        for k in [1u32, 4, 64, 65, 192, 193, 512] {
+            let t = LoadTracker::new((0..k as u64).collect());
+            let bytes = 8 * t.loads.capacity()
+                + 4 * t.node_of.capacity()
+                + std::mem::size_of::<Level>() * t.levels.capacity()
+                + 8 * t.rows.capacity()
+                + 4 * t.free.capacity();
+            assert_eq!(bytes as u64, k as u64 * tracker_bytes_per_part(k), "k {k}");
         }
     }
 

@@ -9,8 +9,8 @@
 //! integration-test binary: the tracked regions are process-wide.
 
 use hep::core::{
-    estimate_stream_overhead_bytes, ingest_file_budgeted, ingest_peak_bytes, plan_ingest,
-    stream_h2h, IngestPlan,
+    estimate_stream_overhead_bytes, ingest_file_budgeted, ingest_peak_bytes, load_tracker_bytes,
+    plan_ingest, stream_h2h, IngestPlan,
 };
 use hep::graph::{BinaryEdgeFile, Edge, EdgeList, IoMode, PrunedCsr};
 use hep::metrics::alloc_track::{self, CountingAlloc};
@@ -159,7 +159,6 @@ fn stream_engine_peak_stays_within_planner_estimate() {
     let _region = exclusive();
     let n = 10_000u32;
     let m = 50_000usize;
-    let k = 32u32;
     let mut rng = hep::ds::SplitMix64::new(17);
     let mut edges = Vec::with_capacity(m);
     let mut degrees = vec![0u32; n as usize];
@@ -171,52 +170,57 @@ fn stream_engine_peak_stays_within_planner_estimate() {
         degrees[a as usize] += 1;
         degrees[b as usize] += 1;
     }
-    let mut seed_sets: Vec<hep::ds::DenseBitset> =
-        (0..k).map(|_| hep::ds::DenseBitset::new(n as usize)).collect();
-    let mut sizes = vec![0u64; k as usize];
-    for v in 0..2_000u32 {
-        seed_sets[(v % k) as usize].set(v);
-    }
-    for (p, s) in sizes.iter_mut().enumerate() {
-        *s = (p as u64) * 11;
-    }
-    for batch in [64usize, 4096] {
-        let estimate = estimate_stream_overhead_bytes(&degrees, k, batch);
-        // Clone the consumed inputs outside the measured region: the
-        // estimate covers the engine's own state, not its seed sets.
-        let (run_sets, run_sizes) = (seed_sets.clone(), sizes.clone());
-        alloc_track::reset_peak();
-        let baseline = alloc_track::current_bytes();
-        let mut assigned = 0u64;
-        let mut sink = |_u: u32, _v: u32, _p: u32| assigned += 1;
-        let result = stream_h2h(
-            edges.iter().copied(),
-            &degrees,
-            run_sets,
-            run_sizes,
-            2 * m as u64,
-            1.1,
-            1.05,
-            batch,
-            &mut sink,
-        );
-        let peak = alloc_track::peak_bytes().saturating_sub(baseline) as u64;
-        let state = result.unwrap();
-        assert_eq!(assigned, m as u64);
-        assert_eq!(
-            (0..k).map(|p| state.load(p)).sum::<u64>(),
-            m as u64 + sizes.iter().sum::<u64>()
-        );
-        assert!(
-            peak <= estimate,
-            "batch {batch}: stream peak {peak} exceeds planner estimate {estimate}"
-        );
+    // k = 512 puts the load tracker's real size, 96 B per part, above the
+    // planner's former 56 B floor; its all-distinct seed loads keep every
+    // one of the k level nodes live from the start.
+    for k in [32u32, 512] {
+        let mut seed_sets: Vec<hep::ds::DenseBitset> =
+            (0..k).map(|_| hep::ds::DenseBitset::new(n as usize)).collect();
+        for v in 0..2_000u32 {
+            seed_sets[(v % k) as usize].set(v);
+        }
+        let sizes: Vec<u64> = (0..k as u64).map(|p| p * 11).collect();
         let (n64, k64) = (n as u64, k as u64);
-        let engine = 8 * k64.div_ceil(64) * n64 + k64 * n64.div_ceil(64) * 8 + 56 * k64;
-        assert!(
-            peak <= engine + STREAM_SLACK_BYTES,
-            "batch {batch}: stream peak {peak} exceeds the engine's own state {engine} + slack"
-        );
+        for batch in [64usize, 4096] {
+            let estimate = estimate_stream_overhead_bytes(&degrees, k, batch);
+            // Clone the consumed inputs outside the measured region: the
+            // estimate covers the engine's own state, not its seed sets.
+            let (run_sets, run_sizes) = (seed_sets.clone(), sizes.clone());
+            alloc_track::reset_peak();
+            let baseline = alloc_track::current_bytes();
+            let mut assigned = 0u64;
+            let mut sink = |_u: u32, _v: u32, _p: u32| assigned += 1;
+            let result = stream_h2h(
+                edges.iter().copied(),
+                &degrees,
+                run_sets,
+                run_sizes,
+                2 * m as u64,
+                1.1,
+                1.05,
+                batch,
+                &mut sink,
+            );
+            let peak = alloc_track::peak_bytes().saturating_sub(baseline) as u64;
+            let state = result.unwrap();
+            assert_eq!(assigned, m as u64);
+            assert_eq!(
+                (0..k).map(|p| state.load(p)).sum::<u64>(),
+                m as u64 + sizes.iter().sum::<u64>()
+            );
+            assert!(
+                peak <= estimate,
+                "k {k}, batch {batch}: stream peak {peak} exceeds planner estimate {estimate}"
+            );
+            // The engine-state bound charges the tracker with the planner's
+            // own term.
+            let engine =
+                8 * k64.div_ceil(64) * n64 + k64 * n64.div_ceil(64) * 8 + load_tracker_bytes(k);
+            assert!(
+                peak <= engine + STREAM_SLACK_BYTES,
+                "k {k}, batch {batch}: stream peak {peak} exceeds the engine's own state {engine} + slack"
+            );
+        }
     }
 }
 
