@@ -142,7 +142,8 @@ fn tau_degrades_rather_than_exceeding_budget() {
 
 /// Headroom of the engine-state bound for allocations that are not engine
 /// arrays: the k-entry spine of the exported `Vec<DenseBitset>` (32 B per
-/// partition).
+/// partition). Past k = 128 the spine outgrows it, but the consumed seed
+/// sets' spine of the same size is freed before the export is built.
 const STREAM_SLACK_BYTES: u64 = 4096;
 
 /// The phase-2 companion bound: the streaming engine's measured peak heap
